@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from .field import (
     simulate_field,
 )
 from .fitting import (
+    BiomassTimeseries,
+    FitResult,
     FitSpec,
     fit,
     generate_synthetic,
@@ -40,6 +43,16 @@ from .model import NOMINAL_PARAMS, check_cooperativity
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override a config value (repeatable)",
         )
-        p.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted and ignored; only fit runs in parallel")
 
     p = sub.add_parser("simulate", help="run one scenario and write trajectory + summary")
     add_common(p)
@@ -90,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--set", dest="overrides", action="append", default=[], metavar="SECTION.KEY=VALUE")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="fit series in up to this many worker processes, capped at the series count "
+                        "and the usable CPUs; outputs are byte-identical for any value")
     p.add_argument("--free", default="k_l,k_ml,sigma_c,sigma_n,v,j_c,j_n,psi",
                    help="comma-separated parameters to fit; the rest stay fixed at the guess")
 
@@ -222,6 +238,21 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _fit_one(spec: FitSpec, series: BiomassTimeseries) -> FitResult | str:
+    """Fit one series; an exception becomes the message of its error row."""
+    try:
+        return fit(spec, series)
+    except Exception as exc:  # record and keep going
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_fit(args) -> int:
     try:
         dataset = read_timeseries_csv(args.data)
@@ -246,14 +277,15 @@ def cmd_fit(args) -> int:
     else:
         spec = FitSpec(guess=NOMINAL_PARAMS, fixed=fixed)
 
-    def run_one(series):
-        try:
-            return fit(spec, series)
-        except Exception as exc:  # record and keep going
-            return f"{type(exc).__name__}: {exc}"
+    # Each fit is a pure-Python RK4 loop that holds the interpreter lock, so
+    # only processes run fits in parallel. map() keeps dataset order, and a
+    # fit's numbers do not depend on the process it ran in.
+    run_one = partial(_fit_one, spec)
+    workers = min(args.threads, len(dataset), _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so importing the CLI stays light
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, dataset))
     else:
         results = [run_one(series) for series in dataset]

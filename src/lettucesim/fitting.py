@@ -222,8 +222,11 @@ def fit(spec: FitSpec, series: BiomassTimeseries) -> FitResult:
         },
     )
 
-    if math.isfinite(res.fun) and res.fun <= initial_cost:
-        best_x, best_cost = res.x, float(res.fun)
+    # res.fun need not be the cost at res.x when the optimizer stops early;
+    # report the cost of the parameters actually returned.
+    final_cost = objective(res.x)
+    if math.isfinite(final_cost) and final_cost <= initial_cost:
+        best_x, best_cost = res.x, final_cost
     else:
         best_x, best_cost = x0, initial_cost
     params = assemble(best_x)

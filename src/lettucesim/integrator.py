@@ -150,7 +150,11 @@ def integrate(
 
     times = t0 + dt * np.arange(steps + 1)
     u_steps = step_values(u_signal, times[:-1])
-    T_steps = step_values(env.temperature, times[:-1])
+    # temperature is piecewise constant, so its response is too: one per interval
+    R_signal = PiecewiseConstantSignal(
+        env.temperature.breakpoints, tuple(temperature_response(T, p.T_op) for T in env.temperature.values)
+    )
+    R_steps = step_values(R_signal, times[:-1])
     I_steps = step_values(env.light, times[:-1])
     if np.any(u_steps < 0.0):
         raise ValueError("nitrogen input signal must be nonnegative")
@@ -159,7 +163,6 @@ def integrate(
     k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n = (
         p.k, p.k_l, p.k_ml, p.sigma_c, p.sigma_n, p.v, p.j_c, p.j_n, p.psi, p.theta_c, p.theta_n,
     )
-    T_op = p.T_op
     half = 0.5 * dt
     sixth = dt / 6.0
 
@@ -171,12 +174,12 @@ def integrate(
     # Plain python floats in the inner loop: numpy scalars carry real
     # per-operation overhead at this call density.
     u_list = u_steps.tolist()
-    T_list = T_steps.tolist()
+    R_list = R_steps.tolist()
     I_list = I_steps.tolist()
 
     for i in range(steps):
         u = u_list[i]
-        R = temperature_response(T_list[i], T_op)
+        R = R_list[i]
         I = I_list[i]
 
         g, l, cc, cn, ac, an = _flux_core(

@@ -1,11 +1,14 @@
 """Config parsing and the command-line pipeline."""
 
+import concurrent.futures
 import filecmp
 import json
+import os
 
 import pytest
 
 import lettucesim as ls
+import lettucesim.cli as cli
 from lettucesim.cli import main
 from lettucesim.config import apply_overrides, builtin_config_names, load_config
 
@@ -37,6 +40,34 @@ interval_days = 1.0
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
+    return path
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap fit's process pool for an in-process stand-in; returns the sizes asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def write_dataset(path, count):
+    assert main(["generate-data", "--out", str(path), "--count", str(count), "--seed", "5",
+                 "--n-obs", "4", "--span", "10", "--spacing", "even"]) == 0
     return path
 
 
@@ -172,16 +203,46 @@ class TestFitCommands:
         text = capsys.readouterr().out
         assert "median NRMSE" in text
 
-    def test_threads_do_not_change_results(self, tmp_path):
+    def test_threads_do_not_change_results(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
-        main(["generate-data", "--out", str(data), "--count", "2", "--seed", "5",
+        main(["generate-data", "--out", str(data), "--count", "3", "--seed", "5",
               "--n-obs", "4", "--span", "10", "--spacing", "even"])
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        assert main(["fit", "--data", str(data), "--free", "sigma_c", "--out-dir", str(out1),
-                     "--threads", "1"]) == 0
-        assert main(["fit", "--data", str(data), "--free", "sigma_c", "--out-dir", str(out2),
-                     "--threads", "4"]) == 0
+        capsys.readouterr()
+        outs, stdouts = {}, {}
+        for threads in ("1", "2", "4"):
+            outs[threads] = tmp_path / f"t{threads}"
+            assert main(["fit", "--data", str(data), "--free", "sigma_c,psi", "--out-dir", str(outs[threads]),
+                         "--threads", threads]) == 0
+            stdouts[threads] = capsys.readouterr().out.replace(str(outs[threads]), "<out>")
+        out1, out2 = outs["1"], outs["4"]
         assert filecmp.cmp(out1 / "fit_results.csv", out2 / "fit_results.csv", shallow=False)
+        for threads in ("2", "4"):
+            for name in ("fit_results.csv", "nrmse_hist.csv"):
+                assert filecmp.cmp(out1 / name, outs[threads] / name, shallow=False), (threads, name)
+            assert stdouts[threads] == stdouts["1"]
+
+    @pytest.mark.parametrize("cpus, sizes", [(8, [3]), (2, [2]), (1, [])])
+    def test_pool_capped_at_series_and_cpus(self, tmp_path, pool_sizes, monkeypatch, cpus, sizes):
+        data = write_dataset(tmp_path / "obs.csv", 3)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert main(["fit", "--data", str(data), "--free", "sigma_c", "--out-dir", str(tmp_path / "o"),
+                     "--threads", "64"]) == 0
+        assert pool_sizes == sizes
+        assert len((tmp_path / "o" / "fit_results.csv").read_text().splitlines()) == 4
+
+    def test_pool_never_exceeds_usable_cpus(self, tmp_path, pool_sizes):
+        data = write_dataset(tmp_path / "obs.csv", 3)
+        assert main(["fit", "--data", str(data), "--free", "sigma_c", "--out-dir", str(tmp_path / "o"),
+                     "--threads", "64"]) == 0
+        assert all(size <= min(3, cli._usable_cpus()) for size in pool_sizes)
+        assert 1 <= cli._usable_cpus() <= os.cpu_count()
+
+    @pytest.mark.parametrize("count, threads", [(3, "1"), (1, "4")])
+    def test_no_pool_for_one_worker(self, tmp_path, pool_sizes, count, threads):
+        data = write_dataset(tmp_path / "obs.csv", count)
+        assert main(["fit", "--data", str(data), "--free", "sigma_c", "--out-dir", str(tmp_path / "o"),
+                     "--threads", threads]) == 0
+        assert pool_sizes == []
 
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
@@ -193,6 +254,20 @@ class TestFitCommands:
         main(["generate-data", "--out", str(data), "--count", "2", "--seed", "5",
               "--n-obs", "4", "--span", "10"])
         assert main(["fit", "--data", str(data), "--free", "bogus"]) == 2
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--config", "builtin:ideal"],
+        ["verify-monotone", "--config", "builtin:ideal"],
+        ["sweep", "--config", "builtin:ideal"],
+        ["fit", "--data", "obs.csv"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_below_one_is_a_usage_error(self, command, value, capsys):
+        assert main(command + ["--threads", value]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--threads" in err
 
 
 class TestReportCommand:

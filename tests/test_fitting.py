@@ -125,6 +125,32 @@ class TestFit:
             lo, hi = bounds[name]
             assert lo <= getattr(res.params, name) <= hi
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_reported_cost_is_cost_at_returned_params(self, seed):
+        """Fits stopped early report the cost of the parameters they return, exactly."""
+        dataset = ls.generate_synthetic(2, P, 0.05, seed, n_obs=(5, 8), t_span=8.0,
+                                        noise_frac=0.05, spacing="random")
+        spec = ls.FitSpec(guess=P, max_iterations=3)
+        for series in dataset:
+            res = ls.fit(spec, series)
+            assert res.cost == ls.cost(res.params, spec, series)
+
+    def test_reported_cost_ignores_stale_optimizer_value(self, monkeypatch):
+        """After a failed line search L-BFGS-B returns the restored iterate with the
+        objective of its last trial point; the fit must not report that value."""
+        real_minimize = ls.fitting.minimize
+
+        def stale_fun(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            res.fun = res.fun * (1.0 - 1e-12)
+            return res
+
+        monkeypatch.setattr(ls.fitting, "minimize", stale_fun)
+        series = series_from(ls.sample_params(P, 0.05, seed=4, plant_index=0), times=(2.0, 4.0, 6.0, 8.0))
+        spec = ls.FitSpec(guess=P, fixed=frozenset(set(ls.PARAM_NAMES) - {"k_l", "sigma_c"}))
+        res = ls.fit(spec, series)
+        assert res.cost == ls.cost(res.params, spec, series)
+
     def test_no_free_parameters_rejected(self):
         with pytest.raises(ValueError):
             ls.fit(ls.FitSpec(guess=P, fixed=frozenset(ls.PARAM_NAMES)), series_from(P))
