@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, load_config, with_seed
+from .config import ConfigError, ScenarioConfig, apply_overrides, load_config, parse_config, with_seed
 from .field import (
     export_ledger_csv,
     export_params_csv,
@@ -63,10 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
+    def add_common(p):
         p.add_argument(
             "--config",
-            required=config_required,
+            required=True,
             help="scenario config path, or builtin:<name> for a shipped scenario",
         )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -100,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="batch-fit every series in a CSV dataset")
     p.add_argument("--data", required=True, help="observations CSV (plant_id, day, mass_g, kind)")
-    p.add_argument("--config", default=None, help="optional config supplying guess/env assumptions")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", default=None,
+                   help="optional config supplying guess/env assumptions (default: all defaults)")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--set", dest="overrides", action="append", default=[], metavar="SECTION.KEY=VALUE")
     p.add_argument("--threads", type=_positive_int, default=1,
@@ -266,16 +266,16 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"unknown parameters in --free: {sorted(unknown)}")
     fixed = frozenset(set(PARAM_NAMES) - set(free))
     if args.config is not None:
-        cfg = _load(args)
-        spec = FitSpec(
-            guess=cfg.field.nominal_params,
-            fixed=fixed,
-            env=cfg.field.env,
-            u=cfg.field.u_bar,
-            s0=cfg.field.s0,
-        )
+        cfg = load_config(args.config, args.overrides)
     else:
-        spec = FitSpec(guess=NOMINAL_PARAMS, fixed=fixed)
+        cfg = parse_config(apply_overrides("", args.overrides))
+    spec = FitSpec(
+        guess=cfg.field.nominal_params,
+        fixed=fixed,
+        env=cfg.field.env,
+        u=cfg.field.u_bar,
+        s0=cfg.field.s0,
+    )
 
     # Each fit is a pure-Python RK4 loop that holds the interpreter lock, so
     # only processes run fits in parallel. map() keeps dataset order, and a

@@ -16,37 +16,66 @@ from importlib import resources
 from .control import ActuationSchedule, ControlPolicy, SaturationSpec
 from .field import (
     ConfigError,
+    DEFAULT_INITIAL_STATE,
     DEFAULT_LIGHT,
     DEFAULT_TEMPERATURE,
-    DEFAULT_U_BAR,
+    DEFAULT_U_RANGE,
+    DEFAULT_VARIANT,
     FieldConfig,
 )
-from .integrator import EnvSchedule
-from .model import NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
+from .integrator import EnvSchedule, PiecewiseConstantSignal
+from .model import NOMINAL_PARAMS, PARAM_NAMES
 
 BUILTIN_PREFIX = "builtin:"
+_BASE_CONFIG = "configs/uncontrolled.cfg"
+_DEFAULT_NAME = "scenario"
 
-_SCHEMA = {
-    "scenario": ("name", "seed"),
-    "params": PARAM_NAMES,
-    "field": (
-        "n_plants",
-        "grid_rows",
-        "grid_cols",
-        "perturbation_frac",
-        "season_days",
-        "dt",
-        "b0",
-        "c0",
-        "n0",
-        "u_bar",
-        "rejection_percentile",
-        "threshold_g",
+# Each builtin scenario is the base file plus these overrides; load_config
+# adds the scenario name and a runs/<name> output directory from the key.
+_BUILTINS = {
+    # Uniform-rate baseline: every plant gets the same dose every day.
+    "uncontrolled": (),
+    # Daily proportional feedback on the deviation from the field mean.
+    "ideal": ("control.variant=global",),
+    # Daily proportional feedback with the baseline dose cut to 0.073 g.
+    "ideal_reduced": ("control.variant=global", "field.u_bar=0.073"),
+    # Proportional feedback with observation/actuation only every 14 days.
+    "sparse": ("control.variant=global", "schedule.interval_days=14.0"),
+    # 14-day feedback using each plant's grid neighborhood instead of the field mean.
+    "sparse_local": ("control.variant=local", "schedule.interval_days=14.0"),
+    # 14-day neighborhood feedback with 10% multiplicative observation noise.
+    "sparse_local_noisy": (
+        "control.variant=local", "schedule.interval_days=14.0", "control.noise_frac=0.1",
     ),
-    "env": ("T", "I"),
-    "control": ("variant", "gain", "u_range", "noise_frac"),
-    "schedule": ("interval_days", "first_application_day"),
-    "output": ("out_dir",),
+    # Noisy sparse neighborhood feedback at the reduced 0.073 g baseline dose.
+    "sparse_local_noisy_reduced": (
+        "control.variant=local", "schedule.interval_days=14.0", "control.noise_frac=0.1",
+        "field.u_bar=0.073",
+    ),
+}
+
+# Every section and key a config may hold, with the type its value parses to.
+_SCHEMA = {
+    "scenario": {"name": str, "seed": int},
+    "params": dict.fromkeys(PARAM_NAMES, float),
+    "field": {
+        "n_plants": int,
+        "grid_rows": int,
+        "grid_cols": int,
+        "perturbation_frac": float,
+        "season_days": float,
+        "dt": float,
+        "b0": float,
+        "c0": float,
+        "n0": float,
+        "u_bar": float,
+        "rejection_percentile": float,
+        "threshold_g": float,
+    },
+    "env": {"T": float, "I": float},
+    "control": {"variant": str, "gain": float, "u_range": float, "noise_frac": float},
+    "schedule": {"interval_days": float, "first_application_day": float},
+    "output": {"out_dir": str},
 }
 
 
@@ -68,92 +97,68 @@ def _parser() -> configparser.ConfigParser:
     return parser
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse scenario text, validating every section and key."""
+def _read(text: str) -> configparser.ConfigParser:
     parser = _parser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    return parser
 
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse scenario text, validating every section and key.
+
+    Only the keys present in the text are passed on; every omitted value
+    comes from the dataclass defaults, NOMINAL_PARAMS,
+    DEFAULT_INITIAL_STATE and the field module's DEFAULT_* constants.
+    """
+    parser = _read(text)
+    values = {section: {} for section in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            try:
+                values[section][key] = _SCHEMA[section][key](raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-
-    name = get("scenario", "name", str, "scenario")
-    seed = get("scenario", "seed", int, 0)
-
-    params = {name: getattr(NOMINAL_PARAMS, name) for name in PARAM_NAMES}
-    if parser.has_section("params"):
-        for key in parser["params"]:
-            params[key] = get("params", key, float, None)
+    scenario, field, env, control = (values[s] for s in ("scenario", "field", "env", "control"))
+    extras = dict(values["output"])
+    if "threshold_g" in field:
+        extras["threshold_g"] = field.pop("threshold_g")
+    state = {key[0]: field.pop(key) for key in ("b0", "c0", "n0") if key in field}  # PlantState b, c, n
+    if "seed" in scenario:
+        field["seed"] = scenario["seed"]
     try:
-        nominal = PlantParams(**params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    u_bar = get("field", "u_bar", float, DEFAULT_U_BAR)
-    env = EnvSchedule.constant(
-        get("env", "T", float, DEFAULT_TEMPERATURE),
-        get("env", "I", float, DEFAULT_LIGHT),
-    )
-    try:
-        s0 = PlantState(
-            b=get("field", "b0", float, 0.005),
-            c=get("field", "c0", float, 0.001),
-            n=get("field", "n0", float, 0.0001),
-        )
-        field = FieldConfig(
-            n_plants=get("field", "n_plants", int, 100),
-            grid_rows=get("field", "grid_rows", int, 10),
-            grid_cols=get("field", "grid_cols", int, 10),
-            nominal_params=nominal,
-            perturbation_frac=get("field", "perturbation_frac", float, 0.05),
-            seed=seed,
-            s0=s0,
-            env=env,
-            season_days=get("field", "season_days", float, 50.0),
-            dt=get("field", "dt", float, 0.05),
-            u_bar=u_bar,
-            rejection_percentile=get("field", "rejection_percentile", float, 10.0),
+        field_cfg = FieldConfig(
+            nominal_params=replace(NOMINAL_PARAMS, **values["params"]),
+            s0=replace(DEFAULT_INITIAL_STATE, **state),
+            env=EnvSchedule.constant(env.get("T", DEFAULT_TEMPERATURE), env.get("I", DEFAULT_LIGHT)),
+            **field,
         )
         policy = ControlPolicy(
-            variant=get("control", "variant", str, "constant"),
+            variant=control.pop("variant", DEFAULT_VARIANT),
             saturation=SaturationSpec(
-                u_bar=u_bar,
-                u_range=get("control", "u_range", float, 0.0075),
+                u_bar=field_cfg.u_bar, u_range=control.pop("u_range", DEFAULT_U_RANGE)
             ),
-            gain=get("control", "gain", float, 0.05),
-            noise_frac=get("control", "noise_frac", float, 0.0),
+            **control,
         )
-        schedule = ActuationSchedule(
-            interval_days=get("schedule", "interval_days", float, 1.0),
-            first_application_day=get("schedule", "first_application_day", float, 0.0),
-        )
+        schedule = ActuationSchedule(**values["schedule"])
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     return ScenarioConfig(
-        name=name,
-        field=field,
+        name=scenario.get("name", _DEFAULT_NAME),
+        field=field_cfg,
         policy=policy,
         schedule=schedule,
-        out_dir=get("output", "out_dir", str, "."),
-        threshold_g=get("field", "threshold_g", float, None),
+        **extras,
     )
 
 
@@ -180,10 +185,16 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     if cfg.threshold_g is not None:
         field_section["threshold_g"] = repr(cfg.threshold_g)
     parser["field"] = field_section
-    parser["env"] = {
-        "T": repr(cfg.field.env.temperature.values[0]),
-        "I": repr(cfg.field.env.light.values[0]),
-    }
+    env = {}
+    for key, label in (("T", "temperature"), ("I", "light")):
+        signal = getattr(cfg.field.env, label)
+        if signal != PiecewiseConstantSignal.constant(signal.values[0]):
+            raise ConfigError(
+                f"cannot serialize the {label} signal: a config holds one constant from day 0, "
+                f"got breakpoints {signal.breakpoints}"
+            )
+        env[key] = repr(signal.values[0])
+    parser["env"] = env
     parser["control"] = {
         "variant": cfg.policy.variant,
         "gain": repr(cfg.policy.gain),
@@ -202,11 +213,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 def apply_overrides(text: str, overrides) -> str:
     """Apply `section.key=value` overrides to raw config text."""
-    parser = _parser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+    parser = _read(text)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
@@ -228,10 +235,12 @@ def load_config(path: str, overrides=()) -> ScenarioConfig:
     """Load a config from a file path or a builtin (``builtin:ideal``)."""
     if str(path).startswith(BUILTIN_PREFIX):
         name = str(path)[len(BUILTIN_PREFIX):]
-        ref = resources.files("lettucesim").joinpath(f"configs/{name}.cfg")
-        if not ref.is_file():
+        if name not in _BUILTINS:
             raise ConfigError(f"no builtin config named {name!r}")
-        text = ref.read_text()
+        text = apply_overrides(
+            resources.files("lettucesim").joinpath(_BASE_CONFIG).read_text(),
+            [*_BUILTINS[name], f"scenario.name={name}", f"output.out_dir=runs/{name}"],
+        )
     else:
         try:
             with open(path) as fh:
@@ -244,11 +253,7 @@ def load_config(path: str, overrides=()) -> ScenarioConfig:
 
 
 def builtin_config_names() -> list:
-    out = []
-    for entry in resources.files("lettucesim").joinpath("configs").iterdir():
-        if entry.name.endswith(".cfg"):
-            out.append(entry.name[:-4])
-    return sorted(out)
+    return sorted(_BUILTINS)
 
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:

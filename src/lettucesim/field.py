@@ -24,10 +24,12 @@ from .integrator import EnvSchedule, GRID_TOL, Trajectory, n_steps_exact, step_v
 from .model import B_EPS, PARAM_NAMES, PlantParams, PlantState, _flux_core
 
 # Light level calibrated so the nominal uncontrolled field reaches a
-# mean dry shoot biomass around 40 g by day 50 (see shipped configs).
+# mean dry shoot biomass around 40 g by day 50 (builtin:uncontrolled).
 DEFAULT_LIGHT = 530.0
 DEFAULT_TEMPERATURE = 22.0
 DEFAULT_U_BAR = 0.075
+DEFAULT_U_RANGE = 0.0075
+DEFAULT_VARIANT = "constant"
 DEFAULT_INITIAL_STATE = PlantState(b=0.005, c=0.001, n=0.0001)
 
 

@@ -244,6 +244,25 @@ class TestFitCommands:
                      "--threads", threads]) == 0
         assert pool_sizes == []
 
+    def test_overrides_apply_without_config(self, tmp_path):
+        data = write_dataset(tmp_path / "obs.csv", 2)
+        outs = {}
+        for label, extra in (("plain", []), ("set", ["--set", "params.k_l=0.2"])):
+            outs[label] = tmp_path / label
+            assert main(["fit", "--data", str(data), "--free", "sigma_c", "--out-dir", str(outs[label]),
+                         *extra]) == 0
+        assert not filecmp.cmp(outs["plain"] / "fit_results.csv", outs["set"] / "fit_results.csv",
+                               shallow=False)
+        header, *rows = (outs["set"] / "fit_results.csv").read_text().splitlines()
+        k_l = header.split(",").index("k_l")
+        assert all(row.split(",")[k_l] == "0.2" for row in rows)
+
+    def test_seed_flag_removed(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "obs.csv", 1)
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--seed", "1"]) == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("plant_id,day,mass_g,kind\n")
