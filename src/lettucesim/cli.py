@@ -38,7 +38,7 @@ from .fitting import (
     write_timeseries_csv,
 )
 from .metrics import ScenarioSummary, compare, dose_response_sweep, summarize
-from .model import NOMINAL_PARAMS, check_cooperativity
+from .model import NOMINAL_PARAMS, check_cooperativity, jacobian_state
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -79,11 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override a config value (repeatable)",
         )
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="accepted and ignored; only fit runs in parallel")
 
     p = sub.add_parser("simulate", help="run one scenario and write trajectory + summary")
     add_common(p)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted and ignored for now; simulate runs in one process")
 
     p = sub.add_parser("verify-monotone", help="check cooperativity and dose-response monotonicity")
     add_common(p)
@@ -155,8 +155,55 @@ def _write_summary_files(summary: ScenarioSummary, out: Path) -> None:
         )
 
 
+# RK4's stability interval on the negative real axis is about [-2.785, 0].
+RK4_REAL_AXIS_BOUND = 2.785
+
+
+def _spectral_radius_3x3(m) -> float:
+    """Largest eigenvalue modulus of a real 3x3 matrix, from its characteristic cubic.
+
+    Closed form (Cardano) instead of `np.linalg.eigvals`, whose LAPACK
+    call alone adds ~0.9 MB to the peak RSS of every command that checks
+    its step.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    trace = a + e + i
+    minors = a * e - b * d + a * i - c * g + e * i - f * h
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # lambda = t + trace/3 turns the characteristic cubic into t^3 + p t + q = 0
+    p = minors - trace * trace / 3.0
+    q = -2.0 * trace**3 / 27.0 + trace * minors / 3.0 - det
+    root = complex((q / 2.0) ** 2 + (p / 3.0) ** 3) ** 0.5
+    # the larger of -q/2 +- root, so that w is zero only when p = q = 0
+    w = max(-q / 2.0 + root, -q / 2.0 - root, key=abs) ** (1.0 / 3.0)
+    if w == 0.0:
+        return abs(trace / 3.0)  # p = q = 0: a triple eigenvalue
+    cube_roots_of_unity = (1.0, complex(-0.5, 3.0**0.5 / 2.0), complex(-0.5, -(3.0**0.5) / 2.0))
+    return max(abs(w * k - p / (3.0 * w * k) + trace / 3.0) for k in cube_roots_of_unity)
+
+
+def _warn_if_unstable_step(cfg: ScenarioConfig) -> None:
+    """Print a stderr warning when dt times the fastest linear rate at s0 leaves RK4's stable range.
+
+    The rate is the largest eigenvalue modulus of the state Jacobian at
+    the initial state, the baseline dose and the day-0 environment,
+    under the nominal parameters. The config is never rejected.
+    """
+    fc = cfg.field
+    jac = jacobian_state(fc.s0, fc.u_bar, fc.env.value_at(0.0), fc.nominal_params)
+    fastest = _spectral_radius_3x3(jac)
+    if fc.dt * fastest > RK4_REAL_AXIS_BOUND:
+        print(
+            f"warning: dt={fc.dt!r} times the fastest rate at the initial state ({fastest:.1f}/day) "
+            f"is {fc.dt * fastest:.2f}, beyond RK4's stability bound {RK4_REAL_AXIS_BOUND}; "
+            "results may be unstable",
+            file=sys.stderr,
+        )
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    _warn_if_unstable_step(cfg)
     out = _out_dir(args, cfg)
     traj = simulate_field(cfg.field, cfg.policy, cfg.schedule)
     summary = summarize(traj, threshold=cfg.threshold_g, name=cfg.name)
@@ -182,6 +229,7 @@ def _perturbed_sets(cfg: ScenarioConfig, count: int):
 
 def cmd_verify_monotone(args) -> int:
     cfg = _load(args)
+    _warn_if_unstable_step(cfg)
     env = cfg.field.env.value_at(0.0)
     report = check_cooperativity(
         cfg.field.nominal_params, env, sample_count=args.samples, seed=cfg.field.seed
@@ -216,6 +264,7 @@ def cmd_verify_monotone(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    _warn_if_unstable_step(cfg)
     out = _out_dir(args, cfg)
     grid = np.linspace(0.0, args.u_max, args.points)
     day = args.day if args.day is not None else cfg.field.season_days
@@ -278,15 +327,21 @@ def cmd_fit(args) -> int:
     )
 
     # Each fit is a pure-Python RK4 loop that holds the interpreter lock, so
-    # only processes run fits in parallel. map() keeps dataset order, and a
-    # fit's numbers do not depend on the process it ran in.
+    # only processes run fits in parallel. A fit's numbers do not depend on
+    # the process it ran in. The pool gets the longest series first (by last
+    # observation day; ties in dataset order), so a long series does not
+    # start last while the other workers idle; results go back to dataset
+    # order.
     run_one = partial(_fit_one, spec)
     workers = min(args.threads, len(dataset), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so importing the CLI stays light
 
+        order = sorted(range(len(dataset)), key=lambda i: -dataset[i].times[-1])
+        results = [None] * len(dataset)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, dataset))
+            for i, result in zip(order, pool.map(run_one, [dataset[i] for i in order])):
+                results[i] = result
     else:
         results = [run_one(series) for series in dataset]
 

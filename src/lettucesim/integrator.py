@@ -102,6 +102,15 @@ def n_steps_exact(span: float, dt: float) -> int:
     return steps
 
 
+def _checked_steps(t0: float, t1: float, dt: float) -> int:
+    """Number of dt steps from t0 to t1, rejecting a bad step or span."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if t1 <= t0:
+        raise ValueError(f"t1={t1} must exceed t0={t0}")
+    return n_steps_exact(t1 - t0, dt)
+
+
 def _check_grid_alignment(signal: PiecewiseConstantSignal, t0: float, t1: float, dt: float, what: str) -> None:
     for bp in signal.breakpoints:
         if bp <= t0 or bp >= t1:
@@ -139,11 +148,7 @@ def integrate(
     Returns the trajectory sampled at every step boundary. Deterministic:
     identical inputs give bit-identical outputs.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t1 <= t0:
-        raise ValueError(f"t1={t1} must exceed t0={t0}")
-    steps = n_steps_exact(t1 - t0, dt)
+    steps = _checked_steps(t0, t1, dt)
     _check_grid_alignment(u_signal, t0, t1, dt, "input")
     _check_grid_alignment(env.temperature, t0, t1, dt, "temperature")
     _check_grid_alignment(env.light, t0, t1, dt, "light")

@@ -5,6 +5,7 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
 import lettucesim as ls
@@ -63,6 +64,31 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes
+
+
+@pytest.fixture
+def pool_inputs(monkeypatch):
+    """Swap fit's process pool for an in-process stand-in; returns the plant ids in submission order."""
+    submitted = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, series):
+            series = list(series)
+            submitted.extend(s.plant_id for s in series)
+            return map(fn, series)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    return submitted
 
 
 def write_dataset(path, count):
@@ -244,6 +270,26 @@ class TestFitCommands:
                      "--threads", threads]) == 0
         assert pool_sizes == []
 
+    def test_pool_gets_longest_series_first(self, tmp_path, pool_inputs, capsys):
+        # last observation days: a 6, b 12, c 9, d 12 -> b and d (dataset order), then c, then a
+        data = tmp_path / "obs.csv"
+        lines = ["plant_id,day,mass_g,kind"]
+        for pid, days in (("a", (2, 4, 6)), ("b", (3, 6, 9, 12)), ("c", (3, 6, 9)), ("d", (4, 8, 12))):
+            lines += [f"{pid},{d},{0.002 * d * d!r},dry" for d in days]
+        data.write_text("\n".join(lines) + "\n")
+        outs, stdouts = {}, {}
+        for threads in ("1", "2"):
+            outs[threads] = tmp_path / f"t{threads}"
+            assert main(["fit", "--data", str(data), "--free", "sigma_c", "--out-dir", str(outs[threads]),
+                         "--threads", threads]) == 0
+            stdouts[threads] = capsys.readouterr().out.replace(str(outs[threads]), "<out>")
+        assert pool_inputs == ["b", "d", "c", "a"]
+        rows = (outs["2"] / "fit_results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a", "b", "c", "d"]
+        for name in ("fit_results.csv", "nrmse_hist.csv"):
+            assert filecmp.cmp(outs["1"] / name, outs["2"] / name, shallow=False), name
+        assert stdouts["1"] == stdouts["2"]
+
     def test_overrides_apply_without_config(self, tmp_path):
         data = write_dataset(tmp_path / "obs.csv", 2)
         outs = {}
@@ -287,6 +333,59 @@ class TestThreadsFlag:
         assert main(command + ["--threads", value]) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "--threads" in err
+
+
+class TestUnstableStepWarning:
+    COMMANDS = {
+        "simulate": [],
+        "sweep": ["--param-sets", "1", "--points", "3"],
+        "verify-monotone": ["--samples", "50", "--param-sets", "1", "--points", "3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_coarse_step_warns_on_stderr(self, command, tiny_cfg, tmp_path, capsys):
+        # tiny_cfg's dt = 0.05 gives dt * |lambda_fast| = 8.99 at the initial state
+        argv = [command, "--config", str(tiny_cfg), *self.COMMANDS[command]]
+        if command != "verify-monotone":
+            argv += ["--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "dt=0.05" in warnings[0] and "2.785" in warnings[0]
+        assert "warning" not in captured.out
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_stable_step_is_quiet(self, command, tiny_cfg, tmp_path, capsys):
+        # dt = 0.01 gives 1.80, inside RK4's real-axis bound
+        argv = [command, "--config", str(tiny_cfg), "--set", "field.dt=0.01", *self.COMMANDS[command]]
+        if command != "verify-monotone":
+            argv += ["--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_spectral_radius_matches_eigvals(self):
+        rng = np.random.default_rng(0)
+        matrices = [rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3, size=(3, 3)) for _ in range(500)]
+        matrices += [np.zeros((3, 3)), 2.0 * np.eye(3), np.diag([1.0, -5.0, 3.0]),
+                     np.eye(3, k=1), 2.0 * np.eye(3) + np.eye(3, k=1)]
+        for m in matrices:
+            assert cli._spectral_radius_3x3(m) == pytest.approx(np.abs(np.linalg.eigvals(m)).max(),
+                                                                rel=1e-9, abs=1e-12)
+
+    def test_warning_changes_no_output(self, tiny_cfg, tmp_path, capsys, monkeypatch):
+        outs, stdouts = {}, {}
+        for label in ("warned", "quiet"):
+            if label == "quiet":
+                monkeypatch.setattr(cli, "RK4_REAL_AXIS_BOUND", float("inf"))
+            outs[label] = tmp_path / label
+            assert main(["sweep", "--config", str(tiny_cfg), "--param-sets", "2", "--points", "3",
+                         "--out-dir", str(outs[label])]) == 0
+            captured = capsys.readouterr()
+            stdouts[label] = captured.out.replace(str(outs[label]), "<out>")
+            assert ("warning:" in captured.err) == (label == "warned")
+        assert stdouts["warned"] == stdouts["quiet"]
+        assert filecmp.cmp(outs["warned"] / "dose_response.csv", outs["quiet"] / "dose_response.csv",
+                           shallow=False)
 
 
 class TestReportCommand:

@@ -111,6 +111,36 @@ class TestSimulateField:
             assert np.array_equal(traj.states[i], single.states)
             assert np.array_equal(traj.outputs[i], single.outputs)
 
+    def test_advance_without_history_keeps_final_state(self):
+        """`states=None` skips the per-step writes but leaves the same final B, C, N."""
+        from lettucesim.field import _advance, _param_columns
+
+        params = [ls.sample_params(P, 0.1, 3, i) for i in range(5)]
+        cols = _param_columns(np.array([p.as_array() for p in params]))
+        u = np.linspace(0.0, 0.15, 5)
+        T = np.repeat([22.0, 15.0], 40)
+        I = np.repeat([530.0, 200.0, 600.0], [30, 30, 20])
+        finals = []
+        for states in (np.empty((5, 81, 3)), None):
+            B, C, N = np.full(5, 0.005), np.full(5, 0.001), np.full(5, 0.0001)
+            _advance(B, C, N, u, cols, T, I, 0.02, 0, 80, states)
+            finals.append((B, C, N))
+        for recorded, bare in zip(*finals):
+            assert np.array_equal(recorded, bare)
+
+    def test_integrate_lanes_matches_scalar_final_state(self):
+        from lettucesim.field import integrate_lanes
+
+        params = [ls.sample_params(P, 0.1, 6, i) for i in range(4)]
+        u = np.array([0.0, 0.03, 0.075, 0.2])
+        env = ls.EnvSchedule(ls.PiecewiseConstantSignal((0.0, 1.0), (22.0, 30.0)),
+                             ls.PiecewiseConstantSignal((0.0, 0.5), (530.0, 100.0)))
+        s0 = ls.PlantState(b=0.004, c=0.002, n=0.0003)
+        B, C, N = integrate_lanes(np.array([p.as_array() for p in params]), u, env, s0, 2.0, 0.02)
+        for i, p in enumerate(params):
+            single = ls.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, 2.0, 0.02)
+            assert np.array_equal([B[i], C[i], N[i]], single.states[-1])
+
     def test_controlled_matches_ledger_replay(self):
         """Between applications plants evolve under exactly the recorded doses."""
         cfg = small_config(season_days=4.0)

@@ -1,9 +1,13 @@
 """Harvest statistics, comparisons, and the dose-response sweep."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lettucesim as ls
+from lettucesim import metrics
 from lettucesim.control import ActuationSchedule, ControlPolicy, SaturationSpec
 
 P = ls.NOMINAL_PARAMS
@@ -100,6 +104,65 @@ class TestDoseResponseSweep:
             ls.dose_response_sweep([P], np.array([0.1, 0.05]))
         with pytest.raises(ValueError):
             ls.dose_response_sweep([P], np.array([]))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_integrate_bitwise(self, batched, data):
+        """Each cell equals its own scalar `integrate` run, on both sides of the crossover."""
+        n_doses = data.draw(st.integers(1, 12), label="doses")
+        if batched:
+            lo = -(-metrics._BATCH_MIN_LANES // n_doses)
+            n_sets = data.draw(st.integers(lo, lo + 2), label="sets")
+        else:
+            n_sets = data.draw(st.integers(1, (metrics._BATCH_MIN_LANES - 1) // n_doses), label="sets")
+        assert (n_sets * n_doses >= metrics._BATCH_MIN_LANES) == batched
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        dt = data.draw(st.sampled_from([0.01, 0.02, 0.05]), label="dt")
+        steps = data.draw(st.integers(1, 30), label="steps")
+        day = steps * dt
+        env = None
+        if data.draw(st.booleans(), label="piecewise env"):
+            switch_t = data.draw(st.integers(1, 40), label="temperature switch") * dt
+            switch_i = data.draw(st.integers(1, 40), label="light switch") * dt
+            env = ls.EnvSchedule(
+                temperature=ls.PiecewiseConstantSignal((0.0, switch_t), (22.0, data.draw(st.floats(5.0, 40.0)))),
+                light=ls.PiecewiseConstantSignal((0.0, switch_i), (530.0, data.draw(st.floats(0.0, 800.0)))),
+            )
+        sets = [ls.sample_params(P, 0.1, seed, i) for i in range(n_sets)]
+        grid = np.sort(data.draw(st.lists(st.floats(0.0, 0.3), min_size=n_doses, max_size=n_doses,
+                                          unique=True)))
+
+        with mock.patch.object(metrics, "integrate", wraps=ls.integrate) as scalar:
+            table = ls.dose_response_sweep(sets, grid, day=day, env=env, dt=dt)
+        assert scalar.call_count == (0 if batched else n_sets * n_doses)
+
+        run_env = env if env is not None else ls.EnvSchedule.constant(ls.DEFAULT_TEMPERATURE, ls.DEFAULT_LIGHT)
+        expected = np.array([
+            [ls.integrate(p, ls.DEFAULT_INITIAL_STATE, ls.PiecewiseConstantSignal.constant(float(u)),
+                          run_env, 0.0, day, dt).states[-1, 0] for u in grid]
+            for p in sets
+        ])
+        assert np.array_equal(table.final_b, expected)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(day=1.005, dt=0.01),
+        dict(day=0.0, dt=0.01),
+        dict(day=1.0, dt=0.0),
+        dict(day=1.0, dt=0.01, env=ls.EnvSchedule(ls.PiecewiseConstantSignal((0.0, 0.513), (22.0, 18.0)),
+                                                  ls.PiecewiseConstantSignal.constant(530.0))),
+        dict(day=1.0, dt=0.01, env=ls.EnvSchedule(ls.PiecewiseConstantSignal.constant(22.0),
+                                                  ls.PiecewiseConstantSignal((0.0, 0.257), (530.0, 0.0)))),
+    ], ids=["off-grid day", "zero day", "zero dt", "off-grid temperature", "off-grid light"])
+    def test_both_branches_raise_the_same_error(self, kwargs):
+        messages = []
+        for n_sets, n_doses in ((1, 3), (4, 10)):
+            sets = [ls.sample_params(P, 0.05, 1, i) for i in range(n_sets)]
+            with pytest.raises(ValueError) as exc:
+                ls.dose_response_sweep(sets, np.linspace(0.0, 0.15, n_doses), **kwargs)
+            messages.append(str(exc.value))
+        assert 3 < metrics._BATCH_MIN_LANES <= 40
+        assert messages[0] == messages[1]
 
     def test_mean_output_curve(self):
         traj = run_small()
