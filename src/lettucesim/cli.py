@@ -38,7 +38,7 @@ from .fitting import (
     write_timeseries_csv,
 )
 from .metrics import ScenarioSummary, compare, dose_response_sweep, summarize
-from .model import NOMINAL_PARAMS, check_cooperativity, jacobian_state
+from .model import NOMINAL_PARAMS, PARAM_NAMES, check_cooperativity, jacobian_state
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -87,14 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-monotone", help="check cooperativity and dose-response monotonicity")
     add_common(p)
-    p.add_argument("--samples", type=int, default=1000, help="number of sampled states")
-    p.add_argument("--param-sets", type=int, default=10, help="perturbed parameter sets for the sweep")
-    p.add_argument("--points", type=int, default=20, help="dose grid size for the sweep")
+    p.add_argument("--samples", type=_positive_int, default=1000, help="number of sampled states")
+    p.add_argument("--param-sets", type=_positive_int, default=10, help="perturbed parameter sets for the sweep")
+    p.add_argument("--points", type=_positive_int, default=20, help="dose grid size for the sweep")
 
     p = sub.add_parser("sweep", help="dose-response sweep: final biomass vs constant dose")
     add_common(p)
-    p.add_argument("--param-sets", type=int, default=10)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--param-sets", type=_positive_int, default=10)
+    p.add_argument("--points", type=_positive_int, default=20)
     p.add_argument("--u-max", type=float, default=0.15)
     p.add_argument("--day", type=float, default=None, help="harvest day (default: season length)")
 
@@ -308,8 +308,6 @@ def cmd_fit(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load dataset {args.data}: {exc}") from exc
     free = tuple(name.strip() for name in args.free.split(",") if name.strip())
-    from .model import PARAM_NAMES
-
     unknown = set(free) - set(PARAM_NAMES)
     if unknown:
         raise ConfigError(f"unknown parameters in --free: {sorted(unknown)}")

@@ -9,7 +9,11 @@ piecewise-constant nitrogen dose.
 Integration is vectorized across plants but uses the exact flux
 arithmetic of the scalar integrator, so a field run reproduces the
 per-plant `integrate` results bit for bit and is independent of any
-worker-thread count.
+worker-thread count. That rests on one step grid: the field takes its
+step count and its temperature and light per step from
+`integrator.sample_steps`, as `integrate` does, so an environment
+breakpoint off the dt grid raises the same ValueError, and every
+application time must lie on the grid too (a ConfigError otherwise).
 
 The same batched RK4 loop serves any set of independent lanes:
 `integrate_lanes` runs lanes that each hold their own parameters and a
@@ -27,16 +31,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
-from .integrator import (
-    EnvSchedule,
-    GRID_TOL,
-    Trajectory,
-    _check_grid_alignment,
-    _checked_steps,
-    n_steps_exact,
-    step_values,
-)
-from .model import B_EPS, PARAM_NAMES, PlantParams, PlantState, _flux_core
+from .integrator import GRID_TOL, EnvSchedule, Trajectory, sample_steps
+from .model import B_EPS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState, _flux_core
 
 # Light level calibrated so the nominal uncontrolled field reaches a
 # mean dry shoot biomass around 40 g by day 50 (builtin:uncontrolled).
@@ -46,6 +42,7 @@ DEFAULT_U_BAR = 0.075
 DEFAULT_U_RANGE = 0.0075
 DEFAULT_VARIANT = "constant"
 DEFAULT_INITIAL_STATE = PlantState(b=0.005, c=0.001, n=0.0001)
+DEFAULT_ENV = EnvSchedule.constant(DEFAULT_TEMPERATURE, DEFAULT_LIGHT)
 
 
 class ConfigError(ValueError):
@@ -59,23 +56,17 @@ class FieldConfig:
     n_plants: int = 100
     grid_rows: int = 10
     grid_cols: int = 10
-    nominal_params: PlantParams = None
+    nominal_params: PlantParams = NOMINAL_PARAMS
     perturbation_frac: float = 0.05
     seed: int = 0
     s0: PlantState = DEFAULT_INITIAL_STATE
-    env: EnvSchedule = None
+    env: EnvSchedule = DEFAULT_ENV
     season_days: float = 50.0
     dt: float = 0.01
     u_bar: float = DEFAULT_U_BAR
     rejection_percentile: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.nominal_params is None:
-            from .model import NOMINAL_PARAMS
-
-            object.__setattr__(self, "nominal_params", NOMINAL_PARAMS)
-        if self.env is None:
-            object.__setattr__(self, "env", EnvSchedule.constant(DEFAULT_TEMPERATURE, DEFAULT_LIGHT))
         if self.n_plants < 1:
             raise ConfigError(f"n_plants must be positive, got {self.n_plants}")
         if self.grid_rows * self.grid_cols != self.n_plants:
@@ -183,8 +174,13 @@ class FieldTrajectory:
         return self.outputs[:, -1].copy()
 
     def total_nitrogen(self) -> float:
-        """Total grams of nitrogen availability, duration-weighted in days."""
-        return float((self.applied_u.sum(axis=1) * self.hold_days).sum())
+        """Total grams of nitrogen availability, duration-weighted in days.
+
+        The ledger's doses plus the baseline dose `u_bar` that every plant
+        holds before a first application after day 0.
+        """
+        applied = float((self.applied_u.sum(axis=1) * self.hold_days).sum())
+        return applied + self.n_plants * self.config.u_bar * float(self.application_times[0])
 
     def plant_trajectory(self, i: int) -> Trajectory:
         return Trajectory(
@@ -202,20 +198,27 @@ class FieldTrajectory:
         return u
 
 
-def _validate_schedule(cfg: FieldConfig, schedule: ActuationSchedule) -> np.ndarray:
+def _validate_schedule(cfg: FieldConfig, schedule: ActuationSchedule) -> tuple:
+    """Application times in the season and the step index of each.
+
+    A time t is on the grid when dt divides [0, t], the test
+    `sample_steps` applies to any span.
+    """
     if schedule.interval_days < cfg.dt - GRID_TOL:
         raise ConfigError(
             f"application interval {schedule.interval_days} is shorter than dt={cfg.dt}"
         )
     app_times = schedule.times_within(cfg.season_days)
+    app_steps = []
     for t in app_times:
-        snapped = round(t / cfg.dt) * cfg.dt
-        if abs(snapped - t) > GRID_TOL:
+        try:
+            app_steps.append(sample_steps(0.0, t, cfg.dt)[0] if t > 0.0 else 0)
+        except ValueError:
             raise ConfigError(
                 f"application time t={t} is off the dt={cfg.dt} step grid; "
                 "choose an interval that is a multiple of dt"
-            )
-    return app_times
+            ) from None
+    return app_times, app_steps
 
 
 def simulate_field(
@@ -236,7 +239,7 @@ def simulate_field(
     ``plant_params`` overrides the seeded per-plant parameter draws,
     e.g. to replay a recorded field or relabel plants.
     """
-    app_times = _validate_schedule(cfg, schedule)
+    app_times, app_steps = _validate_schedule(cfg, schedule)
     n = cfg.n_plants
     if plant_params is None:
         params = tuple(
@@ -249,10 +252,10 @@ def simulate_field(
     cols = _param_columns(np.array([p.as_array() for p in params]))
     psi = cols["psi"]
 
-    total_steps = n_steps_exact(cfg.season_days, cfg.dt)
+    total_steps, (T_steps, I_steps) = sample_steps(
+        0.0, cfg.season_days, cfg.dt, temperature=cfg.env.temperature, light=cfg.env.light
+    )
     times = cfg.dt * np.arange(total_steps + 1)
-    T_steps = step_values(cfg.env.temperature, times[:-1])
-    I_steps = step_values(cfg.env.light, times[:-1])
 
     states = np.empty((n, total_steps + 1, 3))
     B = np.full(n, max(cfg.s0.b, B_EPS))
@@ -262,28 +265,23 @@ def simulate_field(
     states[:, 0, 1] = C
     states[:, 0, 2] = N
 
-    app_steps = [int(s) for s in np.rint(app_times / cfg.dt)]
+    # epoch e holds its dose over steps [bounds[e], bounds[e + 1])
+    bounds = [*app_steps, total_steps]
+    hold_days = np.diff([*app_times, cfg.season_days])
     applied_u = np.empty((len(app_times), n))
-    hold_days = np.empty(len(app_times))
     topology = grid_topology(cfg.grid_rows, cfg.grid_cols) if policy.variant == "local" else None
 
     # Baseline dose before the first application (only reached when the
     # schedule starts after day zero).
-    if app_steps[0] > 0:
+    if bounds[0] > 0:
         u = np.full(n, cfg.u_bar)
-        _advance(B, C, N, u, cols, T_steps, I_steps, cfg.dt, 0, app_steps[0], states)
+        _advance(B, C, N, u, cols, T_steps, I_steps, cfg.dt, 0, bounds[0], states)
 
-    for epoch, start in enumerate(app_steps):
+    for epoch, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         y = psi * B
         seen = observe(y, policy.noise_frac, cfg.seed, epoch)
         u = apply_policy(policy, seen, topology)
         applied_u[epoch] = u
-        if epoch + 1 < len(app_times):
-            stop = app_steps[epoch + 1]
-            hold_days[epoch] = app_times[epoch + 1] - app_times[epoch]
-        else:
-            stop = total_steps
-            hold_days[epoch] = cfg.season_days - app_times[epoch]
         _advance(B, C, N, u, cols, T_steps, I_steps, cfg.dt, start, stop, states)
 
     outputs = psi[:, None] * states[:, :, 0]
@@ -313,12 +311,7 @@ def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: fl
     a bad `dt`, a `t1` off the step grid or an environment breakpoint
     off it raises the same ValueError. No per-step history is kept.
     """
-    steps = _checked_steps(0.0, t1, dt)
-    _check_grid_alignment(env.temperature, 0.0, t1, dt, "temperature")
-    _check_grid_alignment(env.light, 0.0, t1, dt, "light")
-    step_starts = dt * np.arange(steps)
-    T_steps = step_values(env.temperature, step_starts)
-    I_steps = step_values(env.light, step_starts)
+    steps, (T_steps, I_steps) = sample_steps(0.0, t1, dt, temperature=env.temperature, light=env.light)
 
     lanes = len(u)
     B = np.full(lanes, max(s0.b, B_EPS))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .field import DEFAULT_INITIAL_STATE, DEFAULT_LIGHT, DEFAULT_TEMPERATURE, DEFAULT_U_BAR, sample_params
+from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, sample_params
 from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate
 from .model import PARAM_NAMES, PlantParams, PlantState
 
@@ -90,7 +90,7 @@ class FitSpec:
     guess: PlantParams
     bounds: dict = None
     fixed: frozenset = DEFAULT_FIXED
-    env: EnvSchedule = None
+    env: EnvSchedule = DEFAULT_ENV
     u: float = DEFAULT_U_BAR
     s0: PlantState = DEFAULT_INITIAL_STATE
     dt: float = 0.02
@@ -100,8 +100,6 @@ class FitSpec:
     def __post_init__(self) -> None:
         if self.bounds is None:
             object.__setattr__(self, "bounds", default_bounds(self.guess))
-        if self.env is None:
-            object.__setattr__(self, "env", EnvSchedule.constant(DEFAULT_TEMPERATURE, DEFAULT_LIGHT))
         unknown = set(self.fixed) - set(PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown parameters in fixed mask: {sorted(unknown)}")
@@ -248,7 +246,7 @@ def generate_synthetic(
     t_span: float = 50.0,
     noise_frac: float = 0.0,
     spacing: str = "even",
-    env: EnvSchedule = None,
+    env: EnvSchedule = DEFAULT_ENV,
     u: float = DEFAULT_U_BAR,
     s0: PlantState = DEFAULT_INITIAL_STATE,
     dt: float = 0.02,
@@ -266,8 +264,6 @@ def generate_synthetic(
         raise ValueError("n_series must be positive")
     if spacing not in ("even", "random"):
         raise ValueError(f"spacing must be 'even' or 'random', got {spacing!r}")
-    if env is None:
-        env = EnvSchedule.constant(DEFAULT_TEMPERATURE, DEFAULT_LIGHT)
     dataset = []
     for i in range(n_series):
         params = sample_params(nominal, perturb_frac, seed, i)

@@ -3,8 +3,11 @@
 Classical fourth-order Runge-Kutta with a fixed step keeps runs
 bit-reproducible across platforms; the dynamics are smooth and
 non-stiff at nominal parameter values, so no adaptive stepping is
-needed. Input and environment breakpoints must land on the step grid
-so control switching times are exact.
+needed. Every breakpoint of the dose, temperature and light must land
+on the step grid so control switching times are exact. `sample_steps`
+is the one place that checks the grid and samples the signals on it;
+`integrate`, `field.integrate_lanes` and `field.simulate_field` all
+call it, so an off-grid input raises the same ValueError on each path.
 """
 
 from __future__ import annotations
@@ -89,45 +92,42 @@ class Trajectory:
     def final_output(self) -> float:
         return float(self.outputs[-1])
 
-    def state_at_index(self, i: int) -> PlantState:
-        b, c, n = self.states[i]
-        return PlantState(float(b), float(c), float(n))
 
+def sample_steps(t0: float, t1: float, dt: float, **signals: PiecewiseConstantSignal) -> tuple:
+    """The dt step grid from t0 to t1: its step count and each signal's value on every step.
 
-def n_steps_exact(span: float, dt: float) -> int:
-    """Number of dt steps spanning `span`, requiring near-exact divisibility."""
-    steps = int(round(span / dt))
-    if steps < 1 or abs(steps * dt - span) > GRID_TOL * max(1.0, abs(span)):
-        raise ValueError(f"step dt={dt} does not divide the interval of {span} days")
-    return steps
-
-
-def _checked_steps(t0: float, t1: float, dt: float) -> int:
-    """Number of dt steps from t0 to t1, rejecting a bad step or span."""
+    Every integration path gets its grid here, so all of them accept and
+    reject the same inputs. `dt` must be positive and divide t1 - t0;
+    every breakpoint inside (t0, t1) must lie on the grid, so switching
+    times are exact; and each signal must be defined at t0. Errors name
+    the signal by its keyword. Returns ``(steps, values)``, where
+    ``values`` holds one array per signal, in keyword order, of its value
+    on each step [t_i, t_{i+1}), taken at the step start t0 + i * dt.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if t1 <= t0:
         raise ValueError(f"t1={t1} must exceed t0={t0}")
-    return n_steps_exact(t1 - t0, dt)
-
-
-def _check_grid_alignment(signal: PiecewiseConstantSignal, t0: float, t1: float, dt: float, what: str) -> None:
-    for bp in signal.breakpoints:
-        if bp <= t0 or bp >= t1:
-            continue
-        snapped = round((bp - t0) / dt) * dt + t0
-        if abs(snapped - bp) > GRID_TOL:
-            raise ValueError(
-                f"{what} breakpoint at t={bp} is off the dt={dt} step grid by {abs(snapped - bp):.3g} days"
-            )
-
-
-def step_values(signal: PiecewiseConstantSignal, times: np.ndarray) -> np.ndarray:
-    """Signal value on each step [t_i, t_{i+1}), evaluated at the left endpoints."""
-    idx = np.searchsorted(signal.breakpoints, times, side="right") - 1
-    if np.any(idx < 0):
-        raise ValueError(f"signal is undefined before t={signal.breakpoints[0]}")
-    return np.asarray(signal.values, dtype=float)[idx]
+    span = t1 - t0
+    steps = int(round(span / dt))
+    if steps < 1 or abs(steps * dt - span) > GRID_TOL * max(1.0, abs(span)):
+        raise ValueError(f"step dt={dt} does not divide the interval of {span} days")
+    for name, signal in signals.items():
+        for bp in signal.breakpoints:
+            if t0 < bp < t1:
+                off = abs(round((bp - t0) / dt) * dt + t0 - bp)
+                if off > GRID_TOL:
+                    raise ValueError(
+                        f"{name} breakpoint at t={bp} is off the dt={dt} step grid by {off:.3g} days"
+                    )
+        if signal.breakpoints[0] > t0:
+            raise ValueError(f"{name} signal is undefined before t={signal.breakpoints[0]}")
+    starts = t0 + dt * np.arange(steps)
+    values = [
+        np.asarray(signal.values, dtype=float)[np.searchsorted(signal.breakpoints, starts, side="right") - 1]
+        for signal in signals.values()
+    ]
+    return steps, values
 
 
 def integrate(
@@ -148,22 +148,17 @@ def integrate(
     Returns the trajectory sampled at every step boundary. Deterministic:
     identical inputs give bit-identical outputs.
     """
-    steps = _checked_steps(t0, t1, dt)
-    _check_grid_alignment(u_signal, t0, t1, dt, "input")
-    _check_grid_alignment(env.temperature, t0, t1, dt, "temperature")
-    _check_grid_alignment(env.light, t0, t1, dt, "light")
-
-    times = t0 + dt * np.arange(steps + 1)
-    u_steps = step_values(u_signal, times[:-1])
     # temperature is piecewise constant, so its response is too: one per interval
     R_signal = PiecewiseConstantSignal(
         env.temperature.breakpoints, tuple(temperature_response(T, p.T_op) for T in env.temperature.values)
     )
-    R_steps = step_values(R_signal, times[:-1])
-    I_steps = step_values(env.light, times[:-1])
+    steps, (u_steps, R_steps, I_steps) = sample_steps(
+        t0, t1, dt, input=u_signal, temperature=R_signal, light=env.light
+    )
     if np.any(u_steps < 0.0):
         raise ValueError("nitrogen input signal must be nonnegative")
 
+    times = t0 + dt * np.arange(steps + 1)
     states = np.empty((steps + 1, 3))
     k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n = (
         p.k, p.k_l, p.k_ml, p.sigma_c, p.sigma_n, p.v, p.j_c, p.j_n, p.psi, p.theta_c, p.theta_n,

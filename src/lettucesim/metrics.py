@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldTrajectory, integrate_lanes, rejection_threshold
+from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, FieldTrajectory, integrate_lanes, rejection_threshold
 from .integrator import EnvSchedule, PiecewiseConstantSignal, Trajectory, integrate
 from .model import PlantState
 
@@ -153,8 +153,8 @@ def dose_response_sweep(
     param_sets,
     u_grid,
     day: float = 50.0,
-    env: EnvSchedule = None,
-    s0: PlantState = None,
+    env: EnvSchedule = DEFAULT_ENV,
+    s0: PlantState = DEFAULT_INITIAL_STATE,
     dt: float = 0.01,
 ) -> DoseResponseTable:
     """Final biomass at a fixed day under each constant nitrogen level.
@@ -168,18 +168,15 @@ def dose_response_sweep(
     final states; below that, one scalar `integrate` call per cell is
     faster. Both give bit-identical `final_b` and raise the same
     ValueError for a `day` or an environment breakpoint off the dt grid.
+    ``env=None`` means the default environment.
     """
-    from .field import DEFAULT_INITIAL_STATE, DEFAULT_LIGHT, DEFAULT_TEMPERATURE
-
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size == 0:
         raise ValueError("dose grid must be nonempty")
     if np.any(np.diff(u_grid) <= 0.0) or np.any(u_grid < 0.0):
         raise ValueError("dose grid must be ascending and nonnegative")
     if env is None:
-        env = EnvSchedule.constant(DEFAULT_TEMPERATURE, DEFAULT_LIGHT)
-    if s0 is None:
-        s0 = DEFAULT_INITIAL_STATE
+        env = DEFAULT_ENV
 
     n_sets = len(param_sets)
     if n_sets * u_grid.size >= _BATCH_MIN_LANES:

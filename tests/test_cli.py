@@ -335,6 +335,21 @@ class TestThreadsFlag:
         assert "usage:" in err and "--threads" in err
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("verify-monotone", "--samples"),
+        ("verify-monotone", "--param-sets"),
+        ("verify-monotone", "--points"),
+        ("sweep", "--param-sets"),
+        ("sweep", "--points"),
+    ])
+    def test_zero_is_a_usage_error(self, command, flag, tmp_path, capsys):
+        argv = [command, "--config", "builtin:uncontrolled", "--out-dir", str(tmp_path), flag, "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+
+
 class TestUnstableStepWarning:
     COMMANDS = {
         "simulate": [],

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lettucesim as ls
 from lettucesim.control import ActuationSchedule, ControlPolicy, SaturationSpec
@@ -185,6 +186,12 @@ class TestSimulateField:
         assert np.all(u_before == cfg.u_bar)
         assert np.array_equal(traj.application_times, [2.0, 3.0])
 
+    def test_total_nitrogen_counts_baseline_before_late_first_application(self):
+        """Four plants hold u_bar for all four days: two at baseline, two from the ledger."""
+        cfg = ls.FieldConfig(n_plants=4, grid_rows=2, grid_cols=2, seed=5, season_days=4.0, dt=0.02)
+        traj = ls.simulate_field(cfg, CONSTANT, ActuationSchedule(1.0, first_application_day=2.0))
+        assert traj.total_nitrogen() == pytest.approx(4 * 0.075 * 4.0, rel=1e-12)
+
     def test_interval_shorter_than_dt_rejected(self):
         cfg = small_config(dt=0.5)
         with pytest.raises(ls.ConfigError):
@@ -203,6 +210,61 @@ class TestSimulateField:
             lo = ls.simulate_field(cfg_lo, ControlPolicy("constant", SaturationSpec(0.06, 0.006)), DAILY)
             hi = ls.simulate_field(cfg_hi, ControlPolicy("constant", SaturationSpec(0.09, 0.009)), DAILY)
             assert np.all(hi.final_outputs > lo.final_outputs)
+
+
+class TestStepGrid:
+    """The field runs on the same checked step grid as the scalar integrator."""
+
+    @pytest.mark.parametrize("env", [
+        ls.EnvSchedule(ls.PiecewiseConstantSignal((0.0, 0.513), (22.0, 18.0)),
+                       ls.PiecewiseConstantSignal.constant(530.0)),
+        ls.EnvSchedule(ls.PiecewiseConstantSignal.constant(22.0),
+                       ls.PiecewiseConstantSignal((0.0, 0.257), (530.0, 0.0))),
+    ], ids=["temperature", "light"])
+    def test_off_grid_environment_rejected_like_integrate(self, env):
+        cfg = ls.FieldConfig(n_plants=4, grid_rows=2, grid_cols=2, season_days=1.0, dt=0.01, env=env)
+        u = ls.PiecewiseConstantSignal.constant(cfg.u_bar)
+        with pytest.raises(ValueError, match="off the dt=0.01 step grid") as scalar:
+            ls.integrate(P, cfg.s0, u, env, 0.0, 1.0, 0.01)
+        with pytest.raises(ValueError) as field:
+            ls.simulate_field(cfg, CONSTANT, DAILY)
+        assert str(field.value) == str(scalar.value)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_integrate_or_raises_its_error(self, data):
+        dt = data.draw(st.sampled_from([0.01, 0.02, 0.05]), label="dt")
+        steps = data.draw(st.integers(1, 40), label="steps")
+        interval = data.draw(st.integers(1, steps), label="interval steps") * dt
+
+        def switch(label):
+            on_grid = data.draw(st.integers(1, steps + 5), label=label) * dt
+            return on_grid + data.draw(st.sampled_from([0.0, 0.3 * dt]), label=f"{label} offset")
+
+        env = ls.EnvSchedule(
+            temperature=ls.PiecewiseConstantSignal((0.0, switch("temperature switch")),
+                                                   (22.0, data.draw(st.floats(5.0, 40.0)))),
+            light=ls.PiecewiseConstantSignal((0.0, switch("light switch")),
+                                             (530.0, data.draw(st.floats(0.0, 800.0)))),
+        )
+        cfg = ls.FieldConfig(n_plants=4, grid_rows=2, grid_cols=2, seed=data.draw(st.integers(0, 99)),
+                             season_days=steps * dt, dt=dt, env=env)
+        params = tuple(ls.sample_params(P, 0.05, cfg.seed, i) for i in range(4))
+        u = ls.PiecewiseConstantSignal.constant(cfg.u_bar)
+
+        def scalar(p):
+            return ls.integrate(p, cfg.s0, u, env, 0.0, cfg.season_days, dt)
+
+        try:
+            scalar(params[0])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as field_error:
+                ls.simulate_field(cfg, CONSTANT, ActuationSchedule(interval), plant_params=params)
+            assert str(field_error.value) == str(exc)
+            return
+        traj = ls.simulate_field(cfg, CONSTANT, ActuationSchedule(interval), plant_params=params)
+        for i, p in enumerate(params):
+            assert np.array_equal(traj.states[i], scalar(p).states)
 
 
 class TestFieldConfigValidation:
