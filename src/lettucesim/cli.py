@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one scenario and write trajectory + summary")
     add_common(p)
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted and ignored for now; simulate runs in one process")
+                   help="format trajectory.csv in up to this many worker processes, capped at the "
+                        "plant count and the usable CPUs; outputs are byte-identical for any value")
 
     p = sub.add_parser("verify-monotone", help="check cooperativity and dose-response monotonicity")
     add_common(p)
@@ -207,7 +208,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, cfg)
     traj = simulate_field(cfg.field, cfg.policy, cfg.schedule)
     summary = summarize(traj, threshold=cfg.threshold_g, name=cfg.name)
-    export_trajectory_csv(traj, out / "trajectory.csv")
+    workers = min(args.threads, cfg.field.n_plants, _usable_cpus())
+    export_trajectory_csv(traj, out / "trajectory.csv", workers=workers)
     export_ledger_csv(traj, out / "ledger.csv")
     export_params_csv(traj, out / "params.csv")
     _write_summary_files(summary, out)

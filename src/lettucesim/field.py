@@ -21,6 +21,11 @@ constant dose, and keeps only their final states (the dose-response
 sweep uses it). One batched step costs a fixed ~164 us plus ~0.2 us per
 lane on a 2-vCPU VM, against ~4.4 us for one scalar `integrate` step,
 so batching pays from about 37 lanes up.
+
+`export_trajectory_csv` formats each value with `repr` once: each time
+once, each dose once per (epoch, plant), and b, c, n and y once per
+step. Blocks of plants can be formatted in worker processes; the bytes
+do not depend on the split.
 """
 
 from __future__ import annotations
@@ -191,11 +196,16 @@ class FieldTrajectory:
 
     def u_at_times(self, times: np.ndarray) -> np.ndarray:
         """Applied dose per plant at each query time, shape (n_plants, len(times))."""
-        idx = np.searchsorted(self.application_times, times, side="right") - 1
+        idx = _epoch_index(self.application_times, times)
         u = np.empty((self.n_plants, len(times)))
         for j, e in enumerate(idx):
             u[:, j] = self.config.u_bar if e < 0 else self.applied_u[e]
         return u
+
+
+def _epoch_index(application_times, times) -> np.ndarray:
+    """Epoch whose dose holds at each time; -1 before the first application (the baseline `u_bar`)."""
+    return np.searchsorted(application_times, times, side="right") - 1
 
 
 def _validate_schedule(cfg: FieldConfig, schedule: ActuationSchedule) -> tuple:
@@ -276,6 +286,7 @@ def simulate_field(
     if bounds[0] > 0:
         u = np.full(n, cfg.u_bar)
         _advance(B, C, N, u, cols, T_steps, I_steps, cfg.dt, 0, bounds[0], states)
+        _check_finite(B, C, N, times[bounds[0]])
 
     for epoch, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         y = psi * B
@@ -283,6 +294,7 @@ def simulate_field(
         u = apply_policy(policy, seen, topology)
         applied_u[epoch] = u
         _advance(B, C, N, u, cols, T_steps, I_steps, cfg.dt, start, stop, states)
+        _check_finite(B, C, N, times[stop])
 
     outputs = psi[:, None] * states[:, :, 0]
     return FieldTrajectory(
@@ -295,6 +307,20 @@ def simulate_field(
         hold_days=hold_days,
         plant_params=params,
     )
+
+
+def _check_finite(B, C, N, t) -> None:
+    """Raise on the first plant whose state is not finite at time `t`.
+
+    A NaN passes both the `B_EPS` floor and the projection's maxima, so
+    without this check it would reach the outputs silently.
+    """
+    finite = np.isfinite(B) & np.isfinite(C) & np.isfinite(N)
+    if not finite.all():
+        raise ValueError(
+            f"plant {int(np.argmin(finite))} has a non-finite state at t={float(t)!r}; "
+            "check dt and the plant parameters"
+        )
 
 
 def _param_columns(pmat: np.ndarray) -> dict:
@@ -404,31 +430,87 @@ def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> Non
     N[:] = n
 
 
-def export_trajectory_csv(traj: FieldTrajectory, path) -> None:
-    """Write the long-format trajectory table: plant_id, t, b, c, n, y, u."""
-    u_all = traj.u_at_times(traj.times)
+_TRAJECTORY_HEADER = "plant_id,t,b,c,n,y,u\r\n"
+
+# With worker processes, the plants go out in this many contiguous blocks
+# per worker, so the parent writes early blocks while later ones are
+# formatted, and holds only a few blocks of text at a time.
+_BLOCKS_PER_WORKER = 4
+
+
+def _plant_rows(first_plant, t_text, epochs, baseline, states, outputs, applied_u):
+    """Yield the trajectory.csv rows of a block of plants, one string per plant.
+
+    The block is plants ``first_plant ..`` with their slices `states`,
+    `outputs` and `applied_u` (epochs x plants). `t_text` holds each
+    time's repr and `epochs` each step's epoch, -1 meaning the `baseline`
+    dose text. Rows are what `csv.writer` writes for ``repr(float(x))``
+    cells: it ends rows with "\\r\\n" by default, and no repr'd float
+    needs quoting.
+    """
+    for k, (state, y) in enumerate(zip(states, outputs)):
+        plant = first_plant + k
+        # epoch -1 (before a late first application) takes the baseline at the end
+        doses = [*map(repr, applied_u[:, k].tolist()), baseline]
+        b, c, n = state.T.tolist()
+        yield "".join(
+            f"{plant},{t},{b_t!r},{c_t!r},{n_t!r},{y_t!r},{doses[e]}\r\n"
+            for t, b_t, c_t, n_t, y_t, e in zip(t_text, b, c, n, y.tolist(), epochs)
+        )
+
+
+def _block_text(block: tuple) -> str:
+    """One block's rows as one string, formatted in a worker process."""
+    return "".join(_plant_rows(*block))
+
+
+def export_trajectory_csv(traj: FieldTrajectory, path, workers: int = 1) -> None:
+    """Write the long-format trajectory table: plant_id, t, b, c, n, y, u.
+
+    One process writes the rows one plant at a time. With `workers` > 1,
+    a process pool formats contiguous blocks of plants, each sent only
+    its own slices of the trajectory, and the blocks are written in plant
+    order. The bytes never depend on `workers`.
+    """
+    n = traj.n_plants
+    t_text = [repr(t) for t in traj.times.tolist()]
+    epochs = _epoch_index(traj.application_times, traj.times).tolist()
+    baseline = repr(float(traj.config.u_bar))
+
+    def block(lo, hi):
+        return (lo, t_text, epochs, baseline, traj.states[lo:hi], traj.outputs[lo:hi], traj.applied_u[:, lo:hi])
+
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plant_id", "t", "b", "c", "n", "y", "u"])
-        for i in range(traj.n_plants):
-            for j, t in enumerate(traj.times):
-                b, c, n = traj.states[i, j]
-                writer.writerow(
-                    [i, repr(float(t)), repr(float(b)), repr(float(c)), repr(float(n)),
-                     repr(float(traj.outputs[i, j])), repr(float(u_all[i, j]))]
-                )
+        fh.write(_TRAJECTORY_HEADER)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # here, so one process never imports it
+
+            count = min(n, _BLOCKS_PER_WORKER * workers)
+            edges = [n * j // count for j in range(count + 1)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                fh.writelines(pool.map(_block_text, [block(lo, hi) for lo, hi in zip(edges, edges[1:])]))
+        else:
+            fh.writelines(_plant_rows(*block(0, n)))
 
 
 def export_ledger_csv(traj: FieldTrajectory, path) -> None:
-    """Write the applied-nitrogen ledger: plant_id, t, u, hold_days."""
+    """Write the applied-nitrogen ledger: plant_id, t, u, hold_days.
+
+    One block of rows per epoch, one row per plant. When the first
+    application comes after day 0, a first block holds each plant's
+    baseline dose `u_bar` from t=0.0 until that application, so the
+    ledger's ``u * hold_days`` sums to `total_nitrogen()`.
+    """
+    epochs = list(zip(traj.application_times, traj.applied_u, traj.hold_days))
+    first = traj.application_times[0]
+    if first > 0.0:
+        epochs.insert(0, (0.0, np.full(traj.n_plants, traj.config.u_bar), first))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["plant_id", "t", "u", "hold_days"])
-        for e, t in enumerate(traj.application_times):
-            for i in range(traj.n_plants):
-                writer.writerow(
-                    [i, repr(float(t)), repr(float(traj.applied_u[e, i])), repr(float(traj.hold_days[e]))]
-                )
+        for t, doses, hold in epochs:
+            for i, u in enumerate(doses):
+                writer.writerow([i, repr(float(t)), repr(float(u)), repr(float(hold))])
 
 
 def export_params_csv(traj: FieldTrajectory, path) -> None:

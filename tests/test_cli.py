@@ -46,7 +46,7 @@ def tiny_cfg(tmp_path):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap fit's process pool for an in-process stand-in; returns the sizes asked for."""
+    """Swap the process pool (fit's or simulate's) for an in-process stand-in; returns the sizes asked for."""
     sizes = []
 
     class InProcessPool:
@@ -183,6 +183,40 @@ class TestSimulateCommand:
 
     def test_invalid_override_exits_2(self, tiny_cfg, capsys):
         assert main(["simulate", "--config", str(tiny_cfg), "--set", "field.n_plants=5"]) == 2
+
+
+SIMULATE_FILES = ("trajectory.csv", "ledger.csv", "params.csv", "summary.json", "summary.csv")
+
+
+class TestSimulateThreads:
+    def test_two_worker_processes_give_the_same_bytes(self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a real pool even on a one-CPU machine
+        outs, stdouts = {}, {}
+        for threads in ("1", "2"):
+            outs[threads] = tmp_path / threads
+            assert main(["simulate", "--config", str(tiny_cfg), "--out-dir", str(outs[threads]),
+                         "--threads", threads]) == 0
+            stdouts[threads] = capsys.readouterr().out.replace(str(outs[threads]), "OUT")
+        for name in SIMULATE_FILES:
+            assert filecmp.cmp(outs["1"] / name, outs["2"] / name, shallow=False), name
+        assert stdouts["1"] == stdouts["2"]
+
+    @pytest.mark.parametrize("threads, cpus, pools", [
+        ("64", 8, [4]),  # capped at the 4 plants
+        ("64", 2, [2]),  # capped at the CPUs
+        ("3", 8, [3]),
+        ("1", 8, []),
+        ("64", 1, []),
+    ])
+    def test_pool_capped_at_plants_and_cpus(self, tiny_cfg, tmp_path, pool_sizes, monkeypatch,
+                                            threads, cpus, pools):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        one, many = tmp_path / "one", tmp_path / "many"
+        assert main(["simulate", "--config", str(tiny_cfg), "--out-dir", str(one)]) == 0
+        assert pool_sizes == []
+        assert main(["simulate", "--config", str(tiny_cfg), "--out-dir", str(many), "--threads", threads]) == 0
+        assert pool_sizes == pools
+        assert filecmp.cmp(one / "trajectory.csv", many / "trajectory.csv", shallow=False)
 
 
 class TestVerifyMonotoneCommand:

@@ -1,11 +1,18 @@
 """Field assembly: parameter sampling, topology, epoch marching, ledger."""
 
+import concurrent.futures
+import csv
+import dataclasses
+import filecmp
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lettucesim as ls
+from lettucesim.config import builtin_config_names, load_config
 from lettucesim.control import ActuationSchedule, ControlPolicy, SaturationSpec
+from lettucesim.field import FieldTrajectory, export_ledger_csv, export_trajectory_csv
 
 P = ls.NOMINAL_PARAMS
 SAT = SaturationSpec(0.075, 0.0075)
@@ -284,3 +291,132 @@ class TestFieldConfigValidation:
         cfg = small_config()
         with pytest.raises(ls.ConfigError):
             ls.simulate_field(cfg, CONSTANT, DAILY, plant_params=(P,))
+
+
+def reference_export_trajectory_csv(traj, path):
+    """The trajectory writer before the streaming rewrite (one csv.writer row per cell), kept as the byte oracle."""
+    u_all = traj.u_at_times(traj.times)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["plant_id", "t", "b", "c", "n", "y", "u"])
+        for i in range(traj.n_plants):
+            for j, t in enumerate(traj.times):
+                b, c, n = traj.states[i, j]
+                writer.writerow(
+                    [i, repr(float(t)), repr(float(b)), repr(float(c)), repr(float(n)),
+                     repr(float(traj.outputs[i, j])), repr(float(u_all[i, j]))]
+                )
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Swap the exporter's process pool for a stand-in whose `map` runs here, in order."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+
+
+def simulate_builtin(name, *overrides):
+    cfg = load_config(f"builtin:{name}", list(overrides))
+    return ls.simulate_field(cfg.field, cfg.policy, cfg.schedule)
+
+
+class TestTrajectoryExport:
+    """The streaming writer gives the old writer's bytes, in one process or in blocks."""
+
+    def assert_same_bytes(self, traj, tmp_path, workers=1):
+        expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
+        reference_export_trajectory_csv(traj, expected)
+        export_trajectory_csv(traj, got, workers=workers)
+        assert filecmp.cmp(expected, got, shallow=False)
+
+    @pytest.mark.parametrize("name", builtin_config_names())
+    def test_every_builtin_short_season(self, name, tmp_path):
+        self.assert_same_bytes(simulate_builtin(name, "field.season_days=3.0"), tmp_path)
+
+    def test_full_season_ideal(self, tmp_path):
+        """Doses change at every daily epoch across all 5,001 steps."""
+        self.assert_same_bytes(simulate_builtin("ideal"), tmp_path)
+
+    def test_late_first_application_writes_baseline_dose(self, tmp_path):
+        traj = simulate_builtin("ideal", "field.season_days=5.0", "schedule.first_application_day=2.5")
+        assert traj.application_times[0] == 2.5
+        self.assert_same_bytes(traj, tmp_path)
+
+    @pytest.mark.parametrize("workers", [2, 3, 50])  # 8 blocks of 1-2 plants, then 9 of one plant
+    def test_blocks_in_a_pool_give_the_same_bytes(self, workers, tmp_path, in_process_pool):
+        traj = ls.simulate_field(small_config(), LOCAL, ActuationSchedule(1.0, first_application_day=1.5))
+        self.assert_same_bytes(traj, tmp_path, workers)
+
+    @pytest.mark.parametrize("u_bar, baseline", [(1e-05, "1e-05"), (np.float64(1e-05), "1e-05"), (2, "2.0")])
+    def test_edge_floats(self, tmp_path, in_process_pool, u_bar, baseline):
+        edges = [-0.0, 5e-324, 1e-05, 1e16, 2.0, 0.1, 1.0 / 3.0]
+        cfg = ls.FieldConfig(n_plants=2, grid_rows=1, grid_cols=2, u_bar=u_bar)
+        times = np.array([0.0, 1e-05, 2.0, 1e16])
+        states = np.array(edges[:6] * 4).reshape(2, 4, 3)
+        states[1] = -states[1]
+        traj = FieldTrajectory(
+            config=cfg,
+            times=times,
+            states=states,
+            outputs=np.array([[-0.0, 5e-324, 2.0, 1e16], [1e-05, 0.0, -2.0, 1.0 / 3.0]]),
+            application_times=np.array([1e-05, 2.0]),
+            applied_u=np.array([[-0.0, 5e-324], [1e16, 2.0]]),
+            hold_days=np.array([2.0 - 1e-05, 1.0]),
+        )
+        self.assert_same_bytes(traj, tmp_path)
+        self.assert_same_bytes(traj, tmp_path, workers=2)
+        text = (tmp_path / "got.csv").read_text()
+        assert f"0,0.0,-0.0,5e-324,1e-05,-0.0,{baseline}\n" in text  # baseline u_bar before t=1e-05
+        assert "1,1e+16,-1e+16,-2.0,-0.1,0.3333333333333333,2.0\n" in text
+
+
+class TestLedger:
+    def read(self, path):
+        return [[float(x) for x in row] for row in list(csv.reader(open(path, newline="")))[1:]]
+
+    def test_late_first_application_sums_to_total_nitrogen(self, tmp_path):
+        cfg = small_config(season_days=4.0)
+        traj = ls.simulate_field(cfg, GLOBAL, ActuationSchedule(1.0, first_application_day=2.0))
+        export_ledger_csv(traj, tmp_path / "ledger.csv")
+        rows = self.read(tmp_path / "ledger.csv")
+        assert rows[:9] == [[i, 0.0, cfg.u_bar, 2.0] for i in range(9)]
+        assert len(rows) == 9 * 3
+        assert sum(u * hold for _, _, u, hold in rows) == pytest.approx(traj.total_nitrogen(), rel=1e-12)
+
+    def test_first_application_on_day_zero_has_no_baseline_rows(self, tmp_path):
+        cfg = small_config(season_days=4.0)
+        traj = ls.simulate_field(cfg, GLOBAL, ActuationSchedule(2.0))
+        export_ledger_csv(traj, tmp_path / "ledger.csv")
+        rows = self.read(tmp_path / "ledger.csv")
+        assert [row[1] for row in rows] == [0.0] * 9 + [2.0] * 9
+        assert sum(u * hold for _, _, u, hold in rows) == pytest.approx(traj.total_nitrogen(), rel=1e-12)
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize("name", ["k", "sigma_c"])
+    def test_overflow_names_plant_and_time(self, name):
+        """A parameter near the float limit overflows one plant to NaN within the first epoch."""
+        params = [P] * 9
+        params[2] = dataclasses.replace(P, **{name: 1e300})
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^plant 2 has a non-finite state at t=1\.0;"):
+            ls.simulate_field(small_config(), CONSTANT, DAILY, plant_params=tuple(params))
+
+    def test_overflow_during_baseline_is_caught(self):
+        params = [P] * 9
+        params[4] = dataclasses.replace(P, k=1e300)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^plant 4 has a non-finite state at t=2\.0;"):
+            ls.simulate_field(small_config(), CONSTANT, ActuationSchedule(1.0, first_application_day=2.0),
+                              plant_params=tuple(params))
