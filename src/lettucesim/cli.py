@@ -10,7 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 from functools import partial
@@ -26,6 +26,7 @@ from .field import (
     export_trajectory_csv,
     sample_params,
     simulate_field,
+    write_table,
 )
 from .fitting import (
     BiomassTimeseries,
@@ -143,17 +144,13 @@ def _out_dir(args, cfg: ScenarioConfig = None) -> Path:
 
 def _write_summary_files(summary: ScenarioSummary, out: Path) -> None:
     (out / "summary.json").write_text(summary.to_json() + "\n")
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["name", "n_plants", "mean", "variance", "threshold", "fraction_above_threshold",
-             "total_nitrogen", "min", "q1", "median", "q3", "max"]
-        )
-        writer.writerow(
-            [summary.name, summary.n_plants, repr(summary.mean), repr(summary.variance),
-             repr(summary.threshold), repr(summary.fraction_above_threshold),
-             repr(summary.total_nitrogen), *(repr(q) for q in summary.five_number)]
-        )
+    write_table(
+        out / "summary.csv",
+        ["name", "n_plants", "mean", "variance", "threshold", "fraction_above_threshold",
+         "total_nitrogen", "min", "q1", "median", "q3", "max"],
+        [[summary.name, summary.n_plants, summary.mean, summary.variance, summary.threshold,
+          summary.fraction_above_threshold, summary.total_nitrogen, *summary.five_number]],
+    )
 
 
 # RK4's stability interval on the negative real axis is about [-2.785, 0].
@@ -165,9 +162,15 @@ def _spectral_radius_3x3(m) -> float:
 
     Closed form (Cardano) instead of `np.linalg.eigvals`, whose LAPACK
     call alone adds ~0.9 MB to the peak RSS of every command that checks
-    its step.
+    its step. It solves the cubic of A / s, s being the largest |entry|,
+    since rho(A) = s * rho(A / s): no power of an entry can overflow, so
+    every finite matrix gives a finite radius.
     """
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    entries = m.ravel().tolist()
+    scale = max(map(abs, entries))
+    if scale == 0.0:
+        return 0.0
+    a, b, c, d, e, f, g, h, i = (x / scale for x in entries)
     trace = a + e + i
     minors = a * e - b * d + a * i - c * g + e * i - f * h
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -178,9 +181,9 @@ def _spectral_radius_3x3(m) -> float:
     # the larger of -q/2 +- root, so that w is zero only when p = q = 0
     w = max(-q / 2.0 + root, -q / 2.0 - root, key=abs) ** (1.0 / 3.0)
     if w == 0.0:
-        return abs(trace / 3.0)  # p = q = 0: a triple eigenvalue
+        return scale * abs(trace / 3.0)  # p = q = 0: a triple eigenvalue
     cube_roots_of_unity = (1.0, complex(-0.5, 3.0**0.5 / 2.0), complex(-0.5, -(3.0**0.5) / 2.0))
-    return max(abs(w * k - p / (3.0 * w * k) + trace / 3.0) for k in cube_roots_of_unity)
+    return scale * max(abs(w * k - p / (3.0 * w * k) + trace / 3.0) for k in cube_roots_of_unity)
 
 
 def _warn_if_unstable_step(cfg: ScenarioConfig) -> None:
@@ -188,12 +191,21 @@ def _warn_if_unstable_step(cfg: ScenarioConfig) -> None:
 
     The rate is the largest eigenvalue modulus of the state Jacobian at
     the initial state, the baseline dose and the day-0 environment,
-    under the nominal parameters. The config is never rejected.
+    under the nominal parameters. The config is never rejected, not even
+    when extreme parameters overflow the Jacobian: the warning then says
+    that the rate could not be evaluated.
     """
     fc = cfg.field
-    jac = jacobian_state(fc.s0, fc.u_bar, fc.env.value_at(0.0), fc.nominal_params)
-    fastest = _spectral_radius_3x3(jac)
-    if fc.dt * fastest > RK4_REAL_AXIS_BOUND:
+    try:
+        jac = jacobian_state(fc.s0, fc.u_bar, fc.env.value_at(0.0), fc.nominal_params)
+    except OverflowError:  # a Python-float power of an extreme parameter
+        fastest = math.inf
+    else:
+        fastest = _spectral_radius_3x3(jac)
+    if not math.isfinite(fastest):
+        print(f"warning: the fastest rate at the initial state could not be evaluated; dt={fc.dt!r} is unchecked",
+              file=sys.stderr)
+    elif fc.dt * fastest > RK4_REAL_AXIS_BOUND:
         print(
             f"warning: dt={fc.dt!r} times the fastest rate at the initial state ({fastest:.1f}/day) "
             f"is {fc.dt * fastest:.2f}, beyond RK4's stability bound {RK4_REAL_AXIS_BOUND}; "
@@ -279,11 +291,7 @@ def cmd_sweep(args) -> int:
         dt=cfg.field.dt,
     )
     path = out / "dose_response.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param_set", *(repr(float(u)) for u in table.u_grid)])
-        for i, row in enumerate(table.final_b):
-            writer.writerow([i, *(repr(float(x)) for x in row)])
+    write_table(path, ["param_set", *table.u_grid], ((i, *row) for i, row in enumerate(table.final_b)))
     monotone = table.monotone_rows()
     print(f"wrote {path}; {int(monotone.sum())}/{len(monotone)} rows monotone")
     return EXIT_OK
@@ -353,11 +361,7 @@ def cmd_fit(args) -> int:
     failures = len(results) - len(nrmses)
     if nrmses:
         counts, edges = np.histogram(nrmses, bins=20, range=(0.0, max(max(nrmses), 1e-9)))
-        with open(out / "nrmse_hist.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            for i, c in enumerate(counts):
-                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+        write_table(out / "nrmse_hist.csv", ["bin_left", "bin_right", "count"], zip(edges, edges[1:], counts))
         print(
             f"fit {len(nrmses)}/{len(results)} series (failures: {failures}); "
             f"median NRMSE {float(np.median(nrmses)):.4f}"
@@ -389,39 +393,31 @@ def cmd_report(args) -> int:
     rows = []
     for s in summaries:
         rep = compare(base, s)
-        rows.append((s, rep))
+        frac = float((np.asarray(s.final_outputs) >= base.threshold).mean())
+        rows.append((s.name, s.n_plants, s.mean, s.variance, frac, s.total_nitrogen,
+                     rep.variance_ratio, rep.fraction_delta, rep.nitrogen_ratio))
         print(
-            f"{s.name:<24}{s.mean:>9.2f}{s.variance:>10.2f}"
-            f"{(np.asarray(s.final_outputs) >= base.threshold).mean():>8.2%}{s.total_nitrogen:>10.2f}"
+            f"{s.name:<24}{s.mean:>9.2f}{s.variance:>10.2f}{frac:>8.2%}{s.total_nitrogen:>10.2f}"
             f"{rep.variance_ratio:>10.3f}{rep.fraction_delta:>+9.2%}{rep.nitrogen_ratio:>9.3f}"
         )
     print(f"baseline threshold: {base.threshold:.3f} g ({base.name})")
 
     if args.out_dir is not None:
         out = _out_dir(args)
-        with open(out / "comparison.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["scenario", "n_plants", "mean", "variance", "fraction_above_baseline_threshold",
-                 "total_nitrogen", "variance_ratio", "fraction_delta", "nitrogen_ratio"]
-            )
-            for s, rep in rows:
-                frac = float((np.asarray(s.final_outputs) >= base.threshold).mean())
-                writer.writerow(
-                    [s.name, s.n_plants, repr(s.mean), repr(s.variance), repr(frac),
-                     repr(s.total_nitrogen), repr(rep.variance_ratio), repr(rep.fraction_delta),
-                     repr(rep.nitrogen_ratio)]
-                )
+        write_table(
+            out / "comparison.csv",
+            ["scenario", "n_plants", "mean", "variance", "fraction_above_baseline_threshold",
+             "total_nitrogen", "variance_ratio", "fraction_delta", "nitrogen_ratio"],
+            rows,
+        )
         # shared-bin histograms over the pooled output range, for paired plots
         pooled = np.concatenate([np.asarray(s.final_outputs) for s in summaries])
         edges = np.histogram_bin_edges(pooled, bins=20)
-        with open(out / "histograms.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario", "bin_left", "bin_right", "count"])
-            for s in summaries:
-                counts, _ = np.histogram(np.asarray(s.final_outputs), bins=edges)
-                for i, c in enumerate(counts):
-                    writer.writerow([s.name, repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+        hist_rows = []
+        for s in summaries:
+            counts, _ = np.histogram(np.asarray(s.final_outputs), bins=edges)
+            hist_rows += [(s.name, *bin_row) for bin_row in zip(edges, edges[1:], counts)]
+        write_table(out / "histograms.csv", ["scenario", "bin_left", "bin_right", "count"], hist_rows)
         print(f"wrote comparison.csv, histograms.csv to {out}")
     return EXIT_OK
 

@@ -22,8 +22,11 @@ sweep uses it). One batched step costs a fixed ~164 us plus ~0.2 us per
 lane on a 2-vCPU VM, against ~4.4 us for one scalar `integrate` step,
 so batching pays from about 37 lanes up.
 
-`export_trajectory_csv` formats each value with `repr` once: each time
-once, each dose once per (epoch, plant), and b, c, n and y once per
+Every CSV artifact of the package goes through `write_table`, which
+holds the one format: csv's default dialect, each float as its `repr`.
+The one exception is `export_trajectory_csv`, the hot path, which builds
+the same bytes by hand and formats each value with `repr` once: each
+time once, each dose once per (epoch, plant), and b, c, n and y once per
 step. Blocks of plants can be formatted in worker processes; the bytes
 do not depend on the split.
 """
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
-from .integrator import GRID_TOL, EnvSchedule, Trajectory, sample_steps
+from .integrator import GRID_TOL, EnvSchedule, sample_steps
 from .model import B_EPS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState, _flux_core
 
 # Light level calibrated so the nominal uncontrolled field reaches a
@@ -186,13 +189,6 @@ class FieldTrajectory:
         """
         applied = float((self.applied_u.sum(axis=1) * self.hold_days).sum())
         return applied + self.n_plants * self.config.u_bar * float(self.application_times[0])
-
-    def plant_trajectory(self, i: int) -> Trajectory:
-        return Trajectory(
-            times=self.times.copy(),
-            states=self.states[i].copy(),
-            outputs=self.outputs[i].copy(),
-        )
 
     def u_at_times(self, times: np.ndarray) -> np.ndarray:
         """Applied dose per plant at each query time, shape (n_plants, len(times))."""
@@ -444,9 +440,9 @@ def _plant_rows(first_plant, t_text, epochs, baseline, states, outputs, applied_
     The block is plants ``first_plant ..`` with their slices `states`,
     `outputs` and `applied_u` (epochs x plants). `t_text` holds each
     time's repr and `epochs` each step's epoch, -1 meaning the `baseline`
-    dose text. Rows are what `csv.writer` writes for ``repr(float(x))``
-    cells: it ends rows with "\\r\\n" by default, and no repr'd float
-    needs quoting.
+    dose text. Rows are what `write_table` writes for these cells: csv's
+    default dialect ends rows with "\\r\\n", and no repr'd float needs
+    quoting.
     """
     for k, (state, y) in enumerate(zip(states, outputs)):
         plant = first_plant + k
@@ -467,6 +463,8 @@ def _block_text(block: tuple) -> str:
 def export_trajectory_csv(traj: FieldTrajectory, path, workers: int = 1) -> None:
     """Write the long-format trajectory table: plant_id, t, b, c, n, y, u.
 
+    The bytes are those `write_table` would write for the same rows,
+    built by hand because this table holds ~2 M values per builtin.
     One process writes the rows one plant at a time. With `workers` > 1,
     a process pool formats contiguous blocks of plants, each sent only
     its own slices of the trajectory, and the blocks are written in plant
@@ -493,6 +491,25 @@ def export_trajectory_csv(traj: FieldTrajectory, path, workers: int = 1) -> None
             fh.writelines(_plant_rows(*block(0, n)))
 
 
+def write_table(path, header, rows) -> None:
+    """Write one CSV artifact: the `header` row, then every row of `rows`.
+
+    The package's one artifact format: csv's default dialect (rows end
+    with "\\r\\n", a cell is quoted only when it must be), a float cell,
+    Python or numpy, as ``repr(float(x))`` so it reads back exactly, and
+    any other cell as ``str(x)``. `rows` may be any iterable; it is
+    streamed, not collected.
+    """
+
+    def cells(row):
+        return [repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row]
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cells(header))
+        writer.writerows(map(cells, rows))
+
+
 def export_ledger_csv(traj: FieldTrajectory, path) -> None:
     """Write the applied-nitrogen ledger: plant_id, t, u, hold_days.
 
@@ -505,18 +522,11 @@ def export_ledger_csv(traj: FieldTrajectory, path) -> None:
     first = traj.application_times[0]
     if first > 0.0:
         epochs.insert(0, (0.0, np.full(traj.n_plants, traj.config.u_bar), first))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plant_id", "t", "u", "hold_days"])
-        for t, doses, hold in epochs:
-            for i, u in enumerate(doses):
-                writer.writerow([i, repr(float(t)), repr(float(u)), repr(float(hold))])
+    rows = ((i, t, u, hold) for t, doses, hold in epochs for i, u in enumerate(doses))
+    write_table(path, ["plant_id", "t", "u", "hold_days"], rows)
 
 
 def export_params_csv(traj: FieldTrajectory, path) -> None:
     """Write the realized per-plant parameter draws."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plant_id", *PARAM_NAMES])
-        for i, p in enumerate(traj.plant_params):
-            writer.writerow([i, *(repr(float(getattr(p, name))) for name in PARAM_NAMES)])
+    rows = ((i, *p.as_array()) for i, p in enumerate(traj.plant_params))
+    write_table(path, ["plant_id", *PARAM_NAMES], rows)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, sample_params
+from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, sample_params, write_table
 from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate
 from .model import PARAM_NAMES, PlantParams, PlantState
 
@@ -71,12 +71,12 @@ def to_dry(series: BiomassTimeseries) -> BiomassTimeseries:
     )
 
 
-def default_bounds(guess: PlantParams, factor: float = 10.0) -> dict:
-    """Factor-`factor` box around the guess; psi kept strictly inside (0, 1)."""
+def default_bounds(guess: PlantParams) -> dict:
+    """Factor-10 box around the guess; psi kept strictly inside (0, 1)."""
     bounds = {}
     for name in PARAM_NAMES:
         g = getattr(guess, name)
-        lo, hi = g / factor, g * factor
+        lo, hi = g / 10.0, g * 10.0
         if name == "psi":
             lo, hi = max(lo, 1e-3), min(hi, 1.0 - 1e-3)
         bounds[name] = (lo, hi)
@@ -95,7 +95,6 @@ class FitSpec:
     s0: PlantState = DEFAULT_INITIAL_STATE
     dt: float = 0.02
     max_iterations: int = 100
-    tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.bounds is None:
@@ -215,7 +214,7 @@ def fit(spec: FitSpec, series: BiomassTimeseries) -> FitResult:
         bounds=log_bounds,
         options={
             "maxiter": spec.max_iterations,
-            "ftol": spec.tolerance,
+            "ftol": 1e-7,
             "finite_diff_rel_step": 1e-6,
         },
     )
@@ -334,31 +333,23 @@ def read_timeseries_csv(path) -> list:
 
 
 def write_timeseries_csv(path, dataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plant_id", "day", "mass_g", "kind"])
-        for series in dataset:
-            for t, m in zip(series.times, series.masses):
-                writer.writerow([series.plant_id, repr(t), repr(m), series.mass_kind])
+    """Write an observations CSV: plant_id, day, mass_g, kind, one row per observation."""
+    rows = (
+        (series.plant_id, t, m, series.mass_kind)
+        for series in dataset
+        for t, m in zip(series.times, series.masses)
+    )
+    write_table(path, ["plant_id", "day", "mass_g", "kind"], rows)
 
 
 def write_fit_results_csv(path, rows) -> None:
     """Write one row per series: (plant_id, FitResult or error message)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plant_id", "converged", "cost", "nrmse", "iterations", *PARAM_NAMES, "error"])
-        for plant_id, result in rows:
-            if isinstance(result, FitResult):
-                writer.writerow(
-                    [
-                        plant_id,
-                        int(result.converged),
-                        repr(result.cost),
-                        repr(result.nrmse),
-                        result.iterations,
-                        *(repr(getattr(result.params, name)) for name in PARAM_NAMES),
-                        "",
-                    ]
-                )
-            else:
-                writer.writerow([plant_id, 0, "", "", "", *[""] * len(PARAM_NAMES), str(result)])
+
+    def cells(plant_id, result):
+        if isinstance(result, FitResult):
+            return (plant_id, int(result.converged), result.cost, result.nrmse, result.iterations,
+                    *result.params.as_array(), "")
+        return (plant_id, 0, "", "", "", *[""] * len(PARAM_NAMES), result)
+
+    header = ["plant_id", "converged", "cost", "nrmse", "iterations", *PARAM_NAMES, "error"]
+    write_table(path, header, (cells(*row) for row in rows))

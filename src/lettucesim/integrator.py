@@ -138,12 +138,11 @@ def integrate(
     t0: float,
     t1: float,
     dt: float,
-    b_eps: float = B_EPS,
 ) -> Trajectory:
     """Integrate one plant from t0 to t1 with fixed RK4 steps of size dt.
 
     After every step (and before every stage evaluation) the state is
-    projected onto b >= b_eps, c >= 0, n >= 0; excursions are O(dt^5) so
+    projected onto b >= B_EPS, c >= 0, n >= 0; excursions are O(dt^5) so
     projection is benign and keeps the order-preservation property.
     Returns the trajectory sampled at every step boundary. Deterministic:
     identical inputs give bit-identical outputs.
@@ -165,6 +164,7 @@ def integrate(
     )
     half = 0.5 * dt
     sixth = dt / 6.0
+    b_eps = B_EPS  # a local name is faster to read in the loop than a global
 
     b, c, n = s0.b, s0.c, s0.n
     if b < b_eps:

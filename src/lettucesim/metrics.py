@@ -9,7 +9,7 @@ platforms and worker counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,20 +40,8 @@ class ScenarioSummary:
     final_outputs: tuple  # kept so reports can re-evaluate against other thresholds
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "n_plants": self.n_plants,
-            "mean": self.mean,
-            "variance": self.variance,
-            "threshold": self.threshold,
-            "fraction_above_threshold": self.fraction_above_threshold,
-            "total_nitrogen": self.total_nitrogen,
-            "five_number": list(self.five_number),
-            "hist_edges": list(self.hist_edges),
-            "hist_counts": list(self.hist_counts),
-            "final_outputs": list(self.final_outputs),
-        }
-        return json.dumps(doc, indent=2)
+        """Every field by name, in declaration order; tuples become lists."""
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSummary":
@@ -73,25 +61,19 @@ class ScenarioSummary:
         )
 
 
-def summarize(
-    traj: FieldTrajectory,
-    threshold: float = None,
-    bins: int = 20,
-    name: str = "scenario",
-    bin_range: tuple = None,
-) -> ScenarioSummary:
+def summarize(traj: FieldTrajectory, threshold: float = None, name: str = "scenario") -> ScenarioSummary:
     """Reduce a field trajectory to its harvest statistics.
 
-    ``threshold`` defaults to this run's own rejection percentile.
-    ``bin_range`` overrides the histogram extent so paired scenarios can
-    share bins.
+    ``threshold`` defaults to this run's own rejection percentile. The
+    histogram has 20 bins over the range of the final outputs; `report`
+    re-bins paired scenarios on shared edges from ``final_outputs``.
     """
     final = traj.final_outputs
     if final.size == 0:
         raise ValueError("trajectory has no plants")
     if threshold is None:
         threshold = rejection_threshold(final, traj.config.rejection_percentile)
-    counts, edges = np.histogram(final, bins=bins, range=bin_range)
+    counts, edges = np.histogram(final, bins=20)
     return ScenarioSummary(
         name=name,
         n_plants=int(final.size),
@@ -143,10 +125,13 @@ class DoseResponseTable:
     u_grid: np.ndarray
     final_b: np.ndarray  # (n_param_sets, n_doses)
 
-    def monotone_rows(self, tol_rel: float = 1e-9) -> np.ndarray:
-        """True per row when final biomass never decreases as the dose grows."""
+    def monotone_rows(self) -> np.ndarray:
+        """True per row when final biomass never decreases as the dose grows.
+
+        A step down smaller than 1e-9 of the row's largest |value| counts as rounding.
+        """
         scale = np.abs(self.final_b).max(axis=1, keepdims=True)
-        return np.all(np.diff(self.final_b, axis=1) >= -tol_rel * scale, axis=1)
+        return np.all(np.diff(self.final_b, axis=1) >= -1e-9 * scale, axis=1)
 
 
 def dose_response_sweep(

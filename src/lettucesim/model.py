@@ -324,7 +324,7 @@ def jacobian_input(s: PlantState, u: float, env: EnvPoint, p: PlantParams) -> np
 class CooperativityReport:
     """Result of a sampled monotonicity check.
 
-    ``violations`` holds up to ``max_recorded`` offending samples as
+    ``violations`` holds up to 100 offending samples as
     (kind, state, u, value) tuples; ``violation_count`` is the full
     count. ``min_offdiagonal`` is the smallest off-diagonal state
     Jacobian entry seen, a margin indicator for the sign conditions.
@@ -350,15 +350,7 @@ _OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 _FLUX_LABELS = ("growth", "litter", "consume_c", "consume_n", "assim_c", "assim_n")
 
 
-def check_cooperativity(
-    p: PlantParams,
-    env: EnvPoint,
-    sample_count: int = 1000,
-    seed: int = 0,
-    state_box=((1e-4, 1e3), (1e-8, 1e2), (1e-8, 1e2)),
-    u_box=(1e-8, 1.0),
-    max_recorded: int = 100,
-) -> CooperativityReport:
+def check_cooperativity(p: PlantParams, env: EnvPoint, sample_count: int = 1000, seed: int = 0) -> CooperativityReport:
     """Sample states log-uniformly and test the monotonicity sign conditions.
 
     Checks, at every sample: (i) off-diagonal state-Jacobian entries are
@@ -370,8 +362,9 @@ def check_cooperativity(
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     rng = np.random.default_rng(seed)
-    lo = np.log([state_box[0][0], state_box[1][0], state_box[2][0], u_box[0]])
-    hi = np.log([state_box[0][1], state_box[1][1], state_box[2][1], u_box[1]])
+    # log-uniform box of b, c, n (g) and u
+    lo = np.log([1e-4, 1e-8, 1e-8, 1e-8])
+    hi = np.log([1e3, 1e2, 1e2, 1.0])
     draws = np.exp(rng.uniform(lo, hi, size=(sample_count, 4)))
 
     violations = []
@@ -385,7 +378,7 @@ def check_cooperativity(
     def record(kind, state, u, value):
         nonlocal violation_count
         violation_count += 1
-        if len(violations) < max_recorded:
+        if len(violations) < 100:
             violations.append((kind, state, u, value))
 
     for b, c, n, u in draws:

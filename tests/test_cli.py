@@ -473,3 +473,35 @@ class TestReportCommand:
 
     def test_missing_summary_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 2
+
+
+class TestExtremeParameters:
+    """The step-stability warning never fails a command, however large a parameter."""
+
+    def simulate(self, tiny_cfg, tmp_path, capsys, override):
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--config", str(tiny_cfg), "--set", override, "--out-dir", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("params.k=1e200", "times the fastest rate"),  # finite Jacobian, entries near 1e200
+        ("params.k_ml=1e300", "could not be evaluated"),  # (b + k_ml) ** 2 overflows
+        ("params.j_c=1e300", "could not be evaluated"),  # inh_c ** 2 overflows
+    ])
+    def test_warns_once_and_runs(self, override, message, tiny_cfg, tmp_path, capsys):
+        code, err = self.simulate(tiny_cfg, tmp_path, capsys, override)
+        assert code == 0
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and message in warnings[0]
+        assert (tmp_path / "o" / "summary.csv").exists()
+
+    def test_non_finite_field_is_reported_by_the_field(self, tiny_cfg, tmp_path, capsys):
+        code, err = self.simulate(tiny_cfg, tmp_path, capsys, "params.sigma_c=1e300")
+        assert code == 1
+        assert "error: ValueError: plant 0 has a non-finite state at t=1.0;" in err
+
+    def test_spectral_radius_of_huge_entries(self):
+        rng = np.random.default_rng(1)
+        for m in [*(rng.normal(size=(3, 3)) for _ in range(50)), np.eye(3), np.diag([1.0, -5.0, 3.0])]:
+            assert cli._spectral_radius_3x3(1e200 * m) == pytest.approx(
+                np.abs(np.linalg.eigvals(1e200 * m)).max(), rel=1e-9)

@@ -420,3 +420,13 @@ class TestNonFiniteState:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^plant 4 has a non-finite state at t=2\.0;"):
             ls.simulate_field(small_config(), CONSTANT, ActuationSchedule(1.0, first_application_day=2.0),
                               plant_params=tuple(params))
+
+
+class TestWriteTable:
+    def test_cell_formats_and_dialect(self, tmp_path):
+        from lettucesim.field import write_table
+
+        path = tmp_path / "table.csv"
+        row = [-0.0, 5e-324, 1e16, 0.1, np.float64(1 / 3), np.int64(3), 7, 'a, "b"']
+        write_table(path, ["x", "y"], iter([row]))
+        assert path.read_bytes() == b'x,y\r\n-0.0,5e-324,1e+16,0.1,0.3333333333333333,3,7,"a, ""b"""\r\n'

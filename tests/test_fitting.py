@@ -224,3 +224,22 @@ class TestTimeseriesValidation:
     def test_invalid(self, times, masses, kind):
         with pytest.raises(ValueError):
             ls.BiomassTimeseries(times, masses, mass_kind=kind)
+
+
+class TestWriteFitResults:
+    def test_numpy_parameter_and_error_row(self, tmp_path):
+        import csv
+
+        from lettucesim.fitting import write_fit_results_csv
+
+        params = replace(P, k=np.float64(1000.0))
+        result = ls.FitResult(params=params, cost=0.25, nrmse=0.125, iterations=7, converged=True)
+        path = tmp_path / "fit_results.csv"
+        write_fit_results_csv(path, [("a", result), ("b", "ValueError: no fit")])
+        with open(path, newline="") as fh:
+            fitted, failed = csv.DictReader(fh)
+        assert fitted["k"] == "1000.0"
+        assert [fitted[name] for name in ls.PARAM_NAMES] == [repr(float(getattr(P, n))) for n in ls.PARAM_NAMES]
+        assert (fitted["converged"], fitted["cost"], fitted["iterations"], fitted["error"]) == ("1", "0.25", "7", "")
+        assert failed["converged"] == "0" and failed["error"] == "ValueError: no fit"
+        assert all(failed[name] == "" for name in ("cost", "nrmse", "iterations", *ls.PARAM_NAMES))
