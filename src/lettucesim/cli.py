@@ -29,6 +29,7 @@ from .field import (
     write_table,
 )
 from .fitting import (
+    DEFAULT_FIXED,
     BiomassTimeseries,
     FitResult,
     FitSpec,
@@ -54,6 +55,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _observation_count(text: str):
+    """`--n-obs`: a count N, or a range LO:HI each series draws its count from; 3 <= LO <= HI."""
+    try:
+        bounds = [int(part) for part in text.split(":", 1)]
+    except ValueError:
+        bounds = []
+    if not bounds or bounds[0] < 3 or bounds[-1] < bounds[0]:
+        raise argparse.ArgumentTypeError(f"expected N or LO:HI with 3 <= LO <= HI, got {text!r}")
+    return bounds[0] if len(bounds) == 1 else tuple(bounds)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="fit series in up to this many worker processes, capped at the series count "
                         "and the usable CPUs; outputs are byte-identical for any value")
-    p.add_argument("--free", default="k_l,k_ml,sigma_c,sigma_n,v,j_c,j_n,psi",
+    p.add_argument("--free", default=",".join(name for name in PARAM_NAMES if name not in DEFAULT_FIXED),
                    help="comma-separated parameters to fit; the rest stay fixed at the guess")
 
     p = sub.add_parser("report", help="merge scenario summaries into one comparison table")
@@ -118,11 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-data", help="write a synthetic observation dataset CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-frac", type=float, default=0.0)
     p.add_argument("--perturbation-frac", type=float, default=0.05)
-    p.add_argument("--n-obs", default="3:12", help="observations per series: N or LO:HI")
+    p.add_argument("--n-obs", type=_observation_count, default=(3, 12),
+                   help="observations per series: N or LO:HI, with 3 <= LO <= HI (default 3:12)")
     p.add_argument("--span", type=float, default=50.0)
     p.add_argument("--spacing", choices=["even", "random"], default="random")
     return parser
@@ -345,6 +358,8 @@ def cmd_fit(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so importing the CLI stays light
 
+        import scipy.optimize  # noqa: F401  imported before the pool forks, so no worker imports it again
+
         order = sorted(range(len(dataset)), key=lambda i: -dataset[i].times[-1])
         results = [None] * len(dataset)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -423,17 +438,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_generate_data(args) -> int:
-    if ":" in args.n_obs:
-        lo, hi = args.n_obs.split(":", 1)
-        n_obs = (int(lo), int(hi))
-    else:
-        n_obs = int(args.n_obs)
     dataset = generate_synthetic(
         args.count,
         NOMINAL_PARAMS,
         args.perturbation_frac,
         args.seed,
-        n_obs=n_obs,
+        n_obs=args.n_obs,
         t_span=args.span,
         noise_frac=args.noise_frac,
         spacing=args.spacing,

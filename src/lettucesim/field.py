@@ -6,14 +6,19 @@ between application epochs. At every epoch the policy observes the
 current shoot outputs (optionally noised) and resets each plant's
 piecewise-constant nitrogen dose.
 
-Integration is vectorized across plants but uses the exact flux
-arithmetic of the scalar integrator, so a field run reproduces the
-per-plant `integrate` results bit for bit and is independent of any
-worker-thread count. That rests on one step grid: the field takes its
-step count and its temperature and light per step from
-`integrator.sample_steps`, as `integrate` does, so an environment
-breakpoint off the dt grid raises the same ValueError, and every
-application time must lie on the grid too (a ConfigError otherwise).
+Integration is vectorized across plants. Its RK4 kernel, `_advance`,
+holds the plants' states as one (3, plants) array and writes each stage
+once, as `model._rates` on the projected state: the same flux
+differences, in the same order, as the scalar `integrate`. So a field
+run reproduces the per-plant `integrate` results bit for bit and is
+independent of any worker-thread count. That also rests on one step
+grid: the field takes its step count and its temperature and light per
+step from `integrator.sample_steps`, as `integrate` does, so an
+environment breakpoint off the dt grid raises the same ValueError, and
+every application time must lie on the grid too (a ConfigError
+otherwise). `integrate` keeps its stages written out, because a
+function call per stage costs its float loop a quarter or more of its
+time.
 
 The same batched RK4 loop serves any set of independent lanes:
 `integrate_lanes` runs lanes that each hold their own parameters and a
@@ -40,7 +45,7 @@ import numpy as np
 
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
 from .integrator import GRID_TOL, EnvSchedule, sample_steps
-from .model import B_EPS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState, _flux_core
+from .model import B_EPS, FLUX_PARAMS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState, _rates
 
 # Light level calibrated so the nominal uncontrolled field reaches a
 # mean dry shoot biomass around 40 g by day 50 (builtin:uncontrolled).
@@ -256,7 +261,7 @@ def simulate_field(
         if len(params) != n:
             raise ConfigError(f"plant_params has {len(params)} entries for {n} plants")
     cols = _param_columns(np.array([p.as_array() for p in params]))
-    psi = cols["psi"]
+    psi = np.array([p.psi for p in params])
 
     total_steps, (T_steps, I_steps) = sample_steps(
         0.0, cfg.season_days, cfg.dt, temperature=cfg.env.temperature, light=cfg.env.light
@@ -264,12 +269,8 @@ def simulate_field(
     times = cfg.dt * np.arange(total_steps + 1)
 
     states = np.empty((n, total_steps + 1, 3))
-    B = np.full(n, max(cfg.s0.b, B_EPS))
-    C = np.full(n, cfg.s0.c)
-    N = np.full(n, cfg.s0.n)
-    states[:, 0, 0] = B
-    states[:, 0, 1] = C
-    states[:, 0, 2] = N
+    B, C, N = _initial_lanes(cfg.s0, n)
+    states[:, 0] = np.column_stack((B, C, N))
 
     # epoch e holds its dose over steps [bounds[e], bounds[e + 1])
     bounds = [*app_steps, total_steps]
@@ -319,9 +320,14 @@ def _check_finite(B, C, N, t) -> None:
         )
 
 
-def _param_columns(pmat: np.ndarray) -> dict:
-    """Contiguous per-lane parameter arrays by name, from rows of `PlantParams.as_array()`."""
-    return {name: pmat[:, j].copy() for j, name in enumerate(PARAM_NAMES)}
+def _param_columns(pmat: np.ndarray) -> tuple:
+    """Contiguous per-lane parameter columns from rows of `PlantParams.as_array()`.
+
+    Returns ``(params, T_op)``: the `_flux_core` tail in `FLUX_PARAMS`
+    order, and `T_op` for the temperature response.
+    """
+    column = dict(zip(PARAM_NAMES, pmat.T))
+    return tuple(column[name].copy() for name in FLUX_PARAMS), column["T_op"].copy()
 
 
 def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: float) -> tuple:
@@ -334,96 +340,51 @@ def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: fl
     off it raises the same ValueError. No per-step history is kept.
     """
     steps, (T_steps, I_steps) = sample_steps(0.0, t1, dt, temperature=env.temperature, light=env.light)
-
-    lanes = len(u)
-    B = np.full(lanes, max(s0.b, B_EPS))
-    C = np.full(lanes, s0.c)
-    N = np.full(lanes, s0.n)
+    B, C, N = _initial_lanes(s0, len(u))
     _advance(B, C, N, np.asarray(u, dtype=float), _param_columns(pmat), T_steps, I_steps, dt, 0, steps, None)
     return B, C, N
 
 
-def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> None:
-    """RK4-step all plants in place from step `start` to `stop`.
+def _initial_lanes(s0: PlantState, count: int) -> tuple:
+    """(B, C, N) of `count` lanes at `s0`, b raised to its floor as `integrate` does."""
+    return np.full(count, max(s0.b, B_EPS)), np.full(count, s0.c), np.full(count, s0.n)
 
+
+# Floors of (b, c, n), one row each: the projection `integrate` applies.
+_FLOORS = np.array([[B_EPS], [0.0], [0.0]])
+
+
+def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> None:
+    """RK4-step all lanes in place from step `start` to `stop`.
+
+    `cols` comes from `_param_columns`. The state is one (3, lanes)
+    array, and each stage is one expression: `model._rates` on the
+    state projected onto its floors. That is the scalar `integrate`'s
+    arithmetic, operation for operation, with its `if` clamps as
+    elementwise maxima, so each lane matches `integrate` bit for bit.
     Each step's state is written to ``states[:, step]`` unless `states`
     is None, in which case only the final state (left in B, C, N) is
-    kept. Mirrors the scalar integrator arithmetic exactly (same
-    expression trees, projection as elementwise maxima) so per-plant
-    rows match `integrate` bit for bit.
+    kept.
     """
-    k = cols["k"]
-    k_l = cols["k_l"]
-    k_ml = cols["k_ml"]
-    sigma_c = cols["sigma_c"]
-    sigma_n = cols["sigma_n"]
-    v = cols["v"]
-    j_c = cols["j_c"]
-    j_n = cols["j_n"]
-    psi = cols["psi"]
-    T_op = cols["T_op"]
-    theta_c = cols["theta_c"]
-    theta_n = cols["theta_n"]
+    params, T_op = cols
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    record = states is not None
-    b, c, n = B, C, N
+    x = np.array([B, C, N])
     T_list = T_steps.tolist()
     I_list = I_steps.tolist()
     for i in range(start, stop):
-        # temperature response per plant (T_op varies across the field)
+        # temperature response per lane (T_op varies across the field)
         R = np.maximum(0.0, (T_op - np.abs(T_op - T_list[i])) / T_op)
         I = I_list[i]
-
-        g, l, cc, cn, ac, an = _flux_core(
-            b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-        )
-        kb1 = g - l
-        kc1 = ac - cc
-        kn1 = an - cn
-
-        b2 = np.maximum(b + half * kb1, B_EPS)
-        c2 = np.maximum(c + half * kc1, 0.0)
-        n2 = np.maximum(n + half * kn1, 0.0)
-        g, l, cc, cn, ac, an = _flux_core(
-            b2, c2, n2, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-        )
-        kb2 = g - l
-        kc2 = ac - cc
-        kn2 = an - cn
-
-        b3 = np.maximum(b + half * kb2, B_EPS)
-        c3 = np.maximum(c + half * kc2, 0.0)
-        n3 = np.maximum(n + half * kn2, 0.0)
-        g, l, cc, cn, ac, an = _flux_core(
-            b3, c3, n3, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-        )
-        kb3 = g - l
-        kc3 = ac - cc
-        kn3 = an - cn
-
-        b4 = np.maximum(b + dt * kb3, B_EPS)
-        c4 = np.maximum(c + dt * kc3, 0.0)
-        n4 = np.maximum(n + dt * kn3, 0.0)
-        g, l, cc, cn, ac, an = _flux_core(
-            b4, c4, n4, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-        )
-        kb4 = g - l
-        kc4 = ac - cc
-        kn4 = an - cn
-
-        b = np.maximum(b + sixth * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4), B_EPS)
-        c = np.maximum(c + sixth * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4), 0.0)
-        n = np.maximum(n + sixth * (kn1 + 2.0 * kn2 + 2.0 * kn3 + kn4), 0.0)
-        if record:
-            states[:, i + 1, 0] = b
-            states[:, i + 1, 1] = c
-            states[:, i + 1, 2] = n
-
-    B[:] = b
-    C[:] = c
-    N[:] = n
+        k1 = np.array(_rates(*x, u, R, I, *params))
+        k2 = np.array(_rates(*np.maximum(x + half * k1, _FLOORS), u, R, I, *params))
+        k3 = np.array(_rates(*np.maximum(x + half * k2, _FLOORS), u, R, I, *params))
+        k4 = np.array(_rates(*np.maximum(x + dt * k3, _FLOORS), u, R, I, *params))
+        x = np.maximum(x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), _FLOORS)
+        if states is not None:
+            states[:, i + 1] = x.T
+    B[:], C[:], N[:] = x
 
 
 _TRAJECTORY_HEADER = "plant_id,t,b,c,n,y,u\r\n"

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, sample_params, write_table
 from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate
@@ -30,6 +29,17 @@ FRESH_TO_DRY = 0.1
 
 # Weakly identified from sparse shoot-mass data; fixed unless freed.
 DEFAULT_FIXED = frozenset({"k", "T_op", "theta_c", "theta_n"})
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on first use.
+
+    Importing scipy.optimize is most of the package's import time, and
+    only fitting needs it, so every other command starts without it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

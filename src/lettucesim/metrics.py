@@ -40,8 +40,11 @@ class ScenarioSummary:
     final_outputs: tuple  # kept so reports can re-evaluate against other thresholds
 
     def to_json(self) -> str:
-        """Every field by name, in declaration order; tuples become lists."""
-        return json.dumps(asdict(self), indent=2)
+        """Every field by name, in declaration order; tuples become lists.
+
+        A non-finite number raises ValueError: JSON has no literal for it.
+        """
+        return json.dumps(asdict(self), indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSummary":
@@ -67,6 +70,8 @@ def summarize(traj: FieldTrajectory, threshold: float = None, name: str = "scena
     ``threshold`` defaults to this run's own rejection percentile. The
     histogram has 20 bins over the range of the final outputs; `report`
     re-bins paired scenarios on shared edges from ``final_outputs``.
+    A statistic that is not finite (the variance of huge but finite
+    outputs can overflow) raises a ValueError that names it.
     """
     final = traj.final_outputs
     if final.size == 0:
@@ -74,7 +79,7 @@ def summarize(traj: FieldTrajectory, threshold: float = None, name: str = "scena
     if threshold is None:
         threshold = rejection_threshold(final, traj.config.rejection_percentile)
     counts, edges = np.histogram(final, bins=20)
-    return ScenarioSummary(
+    summary = ScenarioSummary(
         name=name,
         n_plants=int(final.size),
         mean=float(final.mean()),
@@ -87,6 +92,10 @@ def summarize(traj: FieldTrajectory, threshold: float = None, name: str = "scena
         hist_counts=tuple(int(c) for c in counts),
         final_outputs=tuple(float(y) for y in final),
     )
+    for key, value in asdict(summary).items():
+        if not isinstance(value, str) and not np.isfinite(value).all():
+            raise ValueError(f"summary statistic {key} is not finite; check dt and the plant parameters")
+    return summary
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ verifies this numerically on sampled states.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -180,9 +181,25 @@ def _flux_core(b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, ps
     return growth, litter, consume_c, consume_n, assim_c, assim_n
 
 
+# The parameters of `_flux_core` after (b, c, n, u, R, I), in its order.
+# Its signature is the one place that order is written; `_param_values`,
+# `integrate` and the field's lane columns all read it from here.
+FLUX_PARAMS = tuple(inspect.signature(_flux_core).parameters)[6:]
+
+
+def _rates(b, c, n, u, R, I, *params):
+    """Time derivative (db, dc, dn) from `_flux_core`'s six fluxes.
+
+    Branch-free like `_flux_core`, so it serves python floats and numpy
+    lanes alike; `params` is the `FLUX_PARAMS` tail.
+    """
+    growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(b, c, n, u, R, I, *params)
+    return growth - litter, assim_c - consume_c, assim_n - consume_n
+
+
 def _param_values(p: PlantParams) -> tuple:
     """Positional parameter tuple matching the _flux_core signature tail."""
-    return (p.k, p.k_l, p.k_ml, p.sigma_c, p.sigma_n, p.v, p.j_c, p.j_n, p.psi, p.theta_c, p.theta_n)
+    return tuple(getattr(p, name) for name in FLUX_PARAMS)
 
 
 def _require_b(b: float) -> None:
@@ -244,10 +261,7 @@ def rhs(s: PlantState, u: float, env: EnvPoint, p: PlantParams) -> np.ndarray:
     if u < 0.0:
         raise ValueError(f"nitrogen availability must be nonnegative, got {u!r}")
     R = temperature_response(env.T, p.T_op)
-    growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(
-        s.b, s.c, s.n, u, R, env.I, *_param_values(p)
-    )
-    return np.array([growth - litter, assim_c - consume_c, assim_n - consume_n])
+    return np.array(_rates(s.b, s.c, s.n, u, R, env.I, *_param_values(p)))
 
 
 def output(s: PlantState, p: PlantParams) -> float:

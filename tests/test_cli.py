@@ -4,6 +4,8 @@ import concurrent.futures
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -355,6 +357,38 @@ class TestFitCommands:
         assert main(["fit", "--data", str(data), "--free", "bogus"]) == 2
 
 
+class TestScipyImport:
+    def run(self, code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+    def test_importing_the_package_leaves_scipy_out(self):
+        assert self.run("import sys, lettucesim.cli; print(any(m.startswith('scipy') for m in sys.modules))") == "False\n"
+
+    def test_fit_loads_scipy_before_its_pool_starts(self, tmp_path):
+        data = write_dataset(tmp_path / "obs.csv", 2)
+        code = f"""
+import concurrent.futures, sys
+import lettucesim.cli as cli
+
+class Pool:
+    def __init__(self, max_workers):
+        print("scipy.optimize" in sys.modules)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, items):
+        return map(fn, items)
+
+concurrent.futures.ProcessPoolExecutor = Pool
+cli._usable_cpus = lambda: 2
+cli.main(["fit", "--data", {str(data)!r}, "--free", "sigma_c", "--threads", "2", "--out-dir", {str(tmp_path / "o")!r}])
+"""
+        out = self.run(code)
+        assert out.splitlines()[0] == "True" and "fit 2/2 series" in out
+
+
 class TestThreadsFlag:
     @pytest.mark.parametrize("command", [
         ["simulate", "--config", "builtin:ideal"],
@@ -382,6 +416,33 @@ class TestCountFlags:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err
+
+
+class TestGenerateDataFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "0"), ("--count", "-1"),
+        ("--n-obs", "3:x"), ("--n-obs", "2"), ("--n-obs", "2:5"), ("--n-obs", "4:3"), ("--n-obs", ""),
+    ])
+    def test_bad_value_is_a_usage_error(self, flag, value, tmp_path, capsys):
+        assert main(["generate-data", "--out", str(tmp_path / "obs.csv"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+        assert not (tmp_path / "obs.csv").exists()
+
+    @pytest.mark.parametrize("value, counts", [("4", {4}), ("3:5", {3, 4, 5}), ("6:6", {6})])
+    def test_observation_counts(self, value, counts, tmp_path):
+        out = tmp_path / "obs.csv"
+        assert main(["generate-data", "--out", str(out), "--count", "12", "--n-obs", value, "--span", "10"]) == 0
+        drawn = {len(series.times) for series in ls.fitting.read_timeseries_csv(out)}
+        assert drawn <= counts and (len(counts) == 1 or len(drawn) > 1)
+
+    def test_fit_free_default_is_every_parameter_not_fixed_by_default(self, monkeypatch):
+        def free_default():
+            return cli._build_parser().parse_args(["fit", "--data", "obs.csv"]).free.split(",")
+
+        assert free_default() == [name for name in ls.PARAM_NAMES if name not in ls.fitting.DEFAULT_FIXED]
+        monkeypatch.setattr(cli, "DEFAULT_FIXED", frozenset({"k", "psi"}))
+        assert free_default() == [name for name in ls.PARAM_NAMES if name not in ("k", "psi")]
 
 
 class TestUnstableStepWarning:
@@ -475,6 +536,23 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "nope.json")]) == 2
 
 
+class TestNonFiniteEnvironment:
+    """A NaN or infinite temperature or light is a config error for every command."""
+
+    @pytest.mark.parametrize("override", ["env.T=nan", "env.T=inf", "env.I=nan", "env.I=inf"])
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_is_a_config_error(self, command, override, tmp_path, capsys):
+        if command == "fit":
+            argv = ["fit", "--data", str(write_dataset(tmp_path / "obs.csv", 2))]
+        else:
+            argv = ["simulate", "--config", "builtin:uncontrolled"]
+        capsys.readouterr()
+        assert main([*argv, "--set", override, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be finite" in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestExtremeParameters:
     """The step-stability warning never fails a command, however large a parameter."""
 
@@ -490,10 +568,21 @@ class TestExtremeParameters:
     ])
     def test_warns_once_and_runs(self, override, message, tiny_cfg, tmp_path, capsys):
         code, err = self.simulate(tiny_cfg, tmp_path, capsys, override)
-        assert code == 0
+        # k=1e200 grows the plants to ~1e196 g, whose variance overflows: the summary fails loudly
+        overflows = override == "params.k=1e200"
+        assert code == (1 if overflows else 0)
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1 and message in warnings[0]
-        assert (tmp_path / "o" / "summary.csv").exists()
+        assert (tmp_path / "o" / "summary.csv").exists() != overflows
+
+    def test_non_finite_summary_fails_and_writes_no_summary(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--config", "builtin:uncontrolled", "--set", "params.k=1e200",
+                         "--set", "field.season_days=2.0", "--out-dir", str(out)])
+        assert code == 1
+        assert "error: ValueError: summary statistic variance is not finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists() and not (out / "summary.csv").exists()
 
     def test_non_finite_field_is_reported_by_the_field(self, tiny_cfg, tmp_path, capsys):
         code, err = self.simulate(tiny_cfg, tmp_path, capsys, "params.sigma_c=1e300")

@@ -274,6 +274,51 @@ class TestStepGrid:
             assert np.array_equal(traj.states[i], scalar(p).states)
 
 
+class TestLaneKernel:
+    """Every field row is the scalar integrator's trajectory under that plant's ledger doses."""
+
+    POLICIES = {
+        "constant": CONSTANT,
+        "global": ControlPolicy("global", SAT, gain=0.5),
+        "local": ControlPolicy("local", SAT, gain=0.5),
+        "noisy global": ControlPolicy("global", SAT, gain=0.5, noise_frac=0.2),
+        "noisy local": ControlPolicy("local", SAT, gain=0.5, noise_frac=0.2),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_integrate_under_the_ledger(self, data):
+        policy = self.POLICIES[data.draw(st.sampled_from(sorted(self.POLICIES)), label="policy")]
+        # a local policy needs every plant to have a neighbour
+        rows = data.draw(st.integers(1, 3), label="rows")
+        cols = data.draw(st.integers(2 if policy.variant == "local" else 1, 3), label="cols")
+        # dt up to 0.1 is far outside RK4's stable range here, so the projection clamps fire
+        dt = data.draw(st.sampled_from([0.01, 0.025, 0.05, 0.1]), label="dt")
+        steps = data.draw(st.integers(2, 40), label="steps")
+        first = data.draw(st.integers(1, steps - 1), label="first application step")
+        interval = data.draw(st.integers(1, steps), label="interval steps")
+        # T <= 0 and T >= 2 * T_op (about 44) give a temperature response of exactly 0
+        switches = data.draw(st.lists(st.integers(1, steps - 1), max_size=3, unique=True), label="switch steps")
+        temperatures = data.draw(st.lists(st.sampled_from([-5.0, 0.0, 12.0, 22.0, 38.0, 50.0, 100.0]),
+                                          min_size=len(switches) + 1, max_size=len(switches) + 1),
+                                 label="temperatures")
+        env = ls.EnvSchedule(
+            ls.PiecewiseConstantSignal((0.0, *(k * dt for k in sorted(switches))), temperatures),
+            ls.PiecewiseConstantSignal.constant(data.draw(st.sampled_from([0.0, 200.0, 530.0]), label="light")),
+        )
+        cfg = ls.FieldConfig(n_plants=rows * cols, grid_rows=rows, grid_cols=cols,
+                             seed=data.draw(st.integers(0, 99), label="seed"),
+                             perturbation_frac=data.draw(st.sampled_from([0.0, 0.05, 0.3]), label="frac"),
+                             season_days=steps * dt, dt=dt, env=env)
+        traj = ls.simulate_field(cfg, policy, ActuationSchedule(interval * dt, first_application_day=first * dt))
+
+        for i, p in enumerate(traj.plant_params):
+            doses = ls.PiecewiseConstantSignal((0.0, *traj.application_times), (cfg.u_bar, *traj.applied_u[:, i]))
+            single = ls.integrate(p, cfg.s0, doses, env, 0.0, cfg.season_days, dt)
+            assert np.array_equal(traj.states[i], single.states)
+            assert np.array_equal(traj.outputs[i], single.outputs)
+
+
 class TestFieldConfigValidation:
     def test_grid_mismatch(self):
         with pytest.raises(ls.ConfigError):

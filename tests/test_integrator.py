@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lettucesim as ls
+from lettucesim.integrator import GRID_TOL, sample_steps
 from lettucesim.model import EnvPoint, PlantState, rhs
 
 P = ls.NOMINAL_PARAMS
@@ -35,6 +36,13 @@ class TestPiecewiseConstantSignal:
     def test_invalid_signals(self, bp, vals):
         with pytest.raises(ValueError):
             ls.PiecewiseConstantSignal(breakpoints=bp, values=vals)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="signal values must be finite"):
+            ls.PiecewiseConstantSignal(breakpoints=(0.0, 1.0), values=(22.0, bad))
+        with pytest.raises(ValueError, match="signal values must be finite"):
+            ls.EnvSchedule.constant(bad, 530.0)
 
 
 class TestIntegrate:
@@ -81,6 +89,19 @@ class TestIntegrate:
         u = ls.PiecewiseConstantSignal(breakpoints=(0.0, 1.004), values=(0.05, 0.09))
         with pytest.raises(ValueError, match="grid"):
             ls.integrate(P, S0, u, ENV, 0.0, 10.0, 0.01)
+
+    def test_breakpoint_a_rounding_error_past_the_grid_switches_on_its_step(self):
+        late, exact = 0.01 + 5 * 0.01, 6 * 0.01  # 0.060000000000000005 and 0.06
+        assert 0.0 < late - exact < GRID_TOL
+
+        def dose(switch):
+            return ls.PiecewiseConstantSignal((0.0, switch), (0.075, 0.02))
+
+        steps, (u_steps,) = sample_steps(0.0, 0.1, 0.01, input=dose(late))
+        assert u_steps.tolist() == [0.075] * 6 + [0.02] * 4
+        a = ls.integrate(P, S0, dose(late), ENV, 0.0, 0.1, 0.01)
+        b = ls.integrate(P, S0, dose(exact), ENV, 0.0, 0.1, 0.01)
+        assert np.array_equal(a.states, b.states)
 
     def test_bad_step_config(self):
         u = ls.PiecewiseConstantSignal.constant(0.075)

@@ -52,6 +52,27 @@ class TestSummarize:
         back = ls.ScenarioSummary.from_json(s.to_json())
         assert back == s
 
+    def test_overflowing_variance_is_an_error(self):
+        """Finite outputs near 1e198 g have an infinite population variance; summarize names it."""
+        from dataclasses import replace
+
+        traj = run_small()
+        huge = replace(traj, outputs=traj.outputs * 1e200)
+        assert np.isfinite(huge.final_outputs).all()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="statistic variance is not finite"):
+            ls.summarize(huge, threshold=1.0)
+
+    def test_non_finite_threshold_is_an_error(self):
+        with pytest.raises(ValueError, match="statistic threshold is not finite"):
+            ls.summarize(run_small(), threshold=float("nan"))
+
+    def test_json_rejects_non_finite_numbers(self):
+        from dataclasses import replace
+
+        s = replace(ls.summarize(run_small()), variance=float("inf"))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            s.to_json()
+
     def test_permutation_invariant_over_plants(self):
         from dataclasses import replace
 
