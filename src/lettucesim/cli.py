@@ -149,6 +149,7 @@ def _load(args) -> ScenarioConfig:
 
 
 def _out_dir(args, cfg: ScenarioConfig = None) -> Path:
+    """The output directory, created. Commands ask for it once their results are in, so a failed run leaves none."""
     out = args.out_dir if args.out_dir is not None else (cfg.out_dir if cfg else ".")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -199,40 +200,45 @@ def _spectral_radius_3x3(m) -> float:
     return scale * max(abs(w * k - p / (3.0 * w * k) + trace / 3.0) for k in cube_roots_of_unity)
 
 
-def _warn_if_unstable_step(cfg: ScenarioConfig) -> None:
+def _warn_if_unstable_step(params, s0, u, env, dt) -> None:
     """Print a stderr warning when dt times the fastest linear rate at s0 leaves RK4's stable range.
 
     The rate is the largest eigenvalue modulus of the state Jacobian at
-    the initial state, the baseline dose and the day-0 environment,
-    under the nominal parameters. The config is never rejected, not even
-    when extreme parameters overflow the Jacobian: the warning then says
-    that the rate could not be evaluated.
+    the initial state `s0`, the dose `u` and the day-0 environment of
+    `env`, under `params`. Nothing is ever rejected, not even when
+    extreme parameters overflow the Jacobian: the warning then says that
+    the rate could not be evaluated.
     """
-    fc = cfg.field
     try:
-        jac = jacobian_state(fc.s0, fc.u_bar, fc.env.value_at(0.0), fc.nominal_params)
+        jac = jacobian_state(s0, u, env.value_at(0.0), params)
     except OverflowError:  # a Python-float power of an extreme parameter
         fastest = math.inf
     else:
         fastest = _spectral_radius_3x3(jac)
     if not math.isfinite(fastest):
-        print(f"warning: the fastest rate at the initial state could not be evaluated; dt={fc.dt!r} is unchecked",
+        print(f"warning: the fastest rate at the initial state could not be evaluated; dt={dt!r} is unchecked",
               file=sys.stderr)
-    elif fc.dt * fastest > RK4_REAL_AXIS_BOUND:
+    elif dt * fastest > RK4_REAL_AXIS_BOUND:
         print(
-            f"warning: dt={fc.dt!r} times the fastest rate at the initial state ({fastest:.1f}/day) "
-            f"is {fc.dt * fastest:.2f}, beyond RK4's stability bound {RK4_REAL_AXIS_BOUND}; "
+            f"warning: dt={dt!r} times the fastest rate at the initial state ({fastest:.3g}/day) "
+            f"is {dt * fastest:.3g}, beyond RK4's stability bound {RK4_REAL_AXIS_BOUND}; "
             "results may be unstable",
             file=sys.stderr,
         )
 
 
+def _check_field_step(cfg: ScenarioConfig) -> None:
+    """`_warn_if_unstable_step` for the field of a scenario config."""
+    fc = cfg.field
+    _warn_if_unstable_step(fc.nominal_params, fc.s0, fc.u_bar, fc.env, fc.dt)
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    _warn_if_unstable_step(cfg)
-    out = _out_dir(args, cfg)
+    _check_field_step(cfg)
     traj = simulate_field(cfg.field, cfg.policy, cfg.schedule)
     summary = summarize(traj, threshold=cfg.threshold_g, name=cfg.name)
+    out = _out_dir(args, cfg)
     workers = min(args.threads, cfg.field.n_plants, _usable_cpus())
     export_trajectory_csv(traj, out / "trajectory.csv", workers=workers)
     export_ledger_csv(traj, out / "ledger.csv")
@@ -256,7 +262,7 @@ def _perturbed_sets(cfg: ScenarioConfig, count: int):
 
 def cmd_verify_monotone(args) -> int:
     cfg = _load(args)
-    _warn_if_unstable_step(cfg)
+    _check_field_step(cfg)
     env = cfg.field.env.value_at(0.0)
     report = check_cooperativity(
         cfg.field.nominal_params, env, sample_count=args.samples, seed=cfg.field.seed
@@ -291,8 +297,7 @@ def cmd_verify_monotone(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    _warn_if_unstable_step(cfg)
-    out = _out_dir(args, cfg)
+    _check_field_step(cfg)
     grid = np.linspace(0.0, args.u_max, args.points)
     day = args.day if args.day is not None else cfg.field.season_days
     table = dose_response_sweep(
@@ -303,7 +308,7 @@ def cmd_sweep(args) -> int:
         s0=cfg.field.s0,
         dt=cfg.field.dt,
     )
-    path = out / "dose_response.csv"
+    path = _out_dir(args, cfg) / "dose_response.csv"
     write_table(path, ["param_set", *table.u_grid], ((i, *row) for i, row in enumerate(table.final_b)))
     monotone = table.monotone_rows()
     print(f"wrote {path}; {int(monotone.sum())}/{len(monotone)} rows monotone")
@@ -346,6 +351,7 @@ def cmd_fit(args) -> int:
         u=cfg.field.u_bar,
         s0=cfg.field.s0,
     )
+    _warn_if_unstable_step(spec.guess, spec.s0, spec.u, spec.env, spec.dt)
 
     # Each fit is a pure-Python RK4 loop that holds the interpreter lock, so
     # only processes run fits in parallel. A fit's numbers do not depend on

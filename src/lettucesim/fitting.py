@@ -2,10 +2,15 @@
 
 Fitting minimizes the mean squared residual between the simulated shoot
 biomass and observed dry masses with a box-constrained quasi-Newton
-search (L-BFGS-B, central finite differences). Parameters are optimized
-in log space: they are all positive and span several orders of
-magnitude, so log coordinates make the box bounds meaningful and the
-line search stable.
+search (L-BFGS-B). Parameters are optimized in log space: they are all
+positive and span several orders of magnitude, so log coordinates make
+the box bounds meaningful and the line search stable.
+
+The gradient is exact, not a finite difference: forward sensitivities
+theta * dx/dtheta are carried through the same RK4 map that gives the
+cost (`_outputs_and_sensitivities`), so each objective evaluation costs
+one integration plus a vectorized tangent pass instead of 1 + 2 x free
+integrations.
 
 Fitting all twelve parameters from a handful of points is ill-posed;
 the default mask fixes the weakly identified rates and fits the rest,
@@ -21,9 +26,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, sample_params, write_table
-from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate
-from .model import PARAM_NAMES, PlantParams, PlantState
+from .field import _FLOORS, DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, sample_params, write_table
+from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate, sample_steps
+from .model import (
+    PARAM_NAMES,
+    PlantParams,
+    PlantState,
+    _param_values,
+    _stage,
+    temperature_response,
+)
 
 FRESH_TO_DRY = 0.1
 
@@ -144,10 +156,9 @@ class FitResult:
     converged: bool
 
 
-def _simulated_outputs(p: PlantParams, spec: FitSpec, times) -> np.ndarray:
-    """Model shoot biomass at each observation time (nearest step-grid sample)."""
-    t_end = times[-1]
-    steps = max(1, int(math.ceil(t_end / spec.dt - 1e-9)))
+def _trajectory(p: PlantParams, spec: FitSpec, times) -> tuple:
+    """The run to the last observation time, and the step index of each observation (nearest grid point)."""
+    steps = max(1, int(math.ceil(times[-1] / spec.dt - 1e-9)))
     traj = integrate(
         p,
         spec.s0,
@@ -157,8 +168,123 @@ def _simulated_outputs(p: PlantParams, spec: FitSpec, times) -> np.ndarray:
         steps * spec.dt,
         spec.dt,
     )
-    idx = np.clip(np.rint(np.asarray(times) / spec.dt).astype(int), 0, steps)
+    return traj, np.clip(np.rint(np.asarray(times) / spec.dt).astype(int), 0, steps)
+
+
+def _simulated_outputs(p: PlantParams, spec: FitSpec, times) -> np.ndarray:
+    """Model shoot biomass at each observation time (nearest step-grid sample)."""
+    traj, idx = _trajectory(p, spec, times)
     return traj.outputs[idx]
+
+
+def _T_op_scale(T: float, T_op: float) -> float:
+    """T_op * dR/dT_op / R, the factor that turns `_stage`'s k column into the T_op column.
+
+    Both act through R alone, and k * d/dk = R * d/dR. dR/dT_op is
+    -T/T_op**2 below the kink and T/T_op**2 above. It is 0 where R is
+    clamped to 0, and 0 at T = T_op, the mean of the one-sided slopes
+    (what a central difference gives).
+    """
+    R = temperature_response(T, T_op)
+    if R == 0.0 or T == T_op:
+        return 0.0
+    return (T if T > T_op else -T) / (T_op * R)
+
+
+# Steps composed at once by `_chain`; larger blocks add doubling rounds,
+# smaller ones add loop iterations.
+_BLOCK = 32
+
+
+def _chain(maps: np.ndarray, at) -> np.ndarray:
+    """s_i at the step indices `at`, where s_0 = 0 and s_{i+1} = A_i s_i + B_i.
+
+    ``maps[i]`` is the affine map [A_i | B_i] (3 x (3 + m)); returns
+    (len(at), 3, m). A numpy call per step would cost more than the
+    step, so the steps go in blocks: doubling rounds compose every
+    prefix of every block at once, and a loop chains the block ends.
+    A leading zero map stands for s_0, so each prefix's B part is an s_i.
+    """
+    count, _, width = maps.shape
+    blocks = -(-(count + 1) // _BLOCK)
+    padding = np.broadcast_to(np.eye(3, width), (blocks * _BLOCK - count - 1, 3, width))
+    H = np.concatenate([np.zeros((1, 3, width)), maps, padding]).reshape(blocks, _BLOCK, 3, width)
+    shift = 1
+    while shift < _BLOCK:
+        composed = H[:, shift:, :, :3] @ H[:, :-shift]
+        composed[..., 3:] += H[:, shift:, :, 3:]
+        H[:, shift:] = composed
+        shift *= 2
+    starts = np.zeros((blocks, 3, width - 3))
+    for j in range(1, blocks):
+        end = H[j - 1, -1]
+        starts[j] = end[:, :3] @ starts[j - 1] + end[:, 3:]
+    block, offset = np.divmod(np.asarray(at), _BLOCK)
+    prefix = H[block, offset]
+    return prefix[..., :3] @ starts[block] + prefix[..., 3:]
+
+
+def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tuple:
+    """Shoot biomass at each observation time and its derivatives in log(theta) of the `free` parameters.
+
+    Returns ``(y, dy)``, dy of shape (observations, free). `y` is
+    `_simulated_outputs` bit for bit: the states come from `integrate`.
+    The sensitivities s = theta * dx/dtheta are the exact tangent of its
+    RK4 map. Each step's four stages are replayed, for all steps at
+    once, from `integrate`'s states with its arithmetic and projection
+    (the field's kernel does the same), and `_stage` gives the state
+    Jacobian and the parameter columns at each stage's own state. A stage
+    or step whose projection clamps a component zeroes that component's
+    sensitivity. Each step's tangent is an affine map of s, which
+    `_chain` composes up to the observation steps.
+    """
+    traj, idx = _trajectory(p, spec, times)
+    steps = int(idx.max())  # the steps after the last observation change nothing
+    dt = spec.dt
+    temperature = spec.env.temperature
+    R_signal, scale_signal = (
+        PiecewiseConstantSignal(temperature.breakpoints, tuple(fn(T, p.T_op) for T in temperature.values))
+        for fn in (temperature_response, _T_op_scale)
+    )
+    _, (R, T_op_scale, I) = sample_steps(
+        0.0, (len(traj.times) - 1) * dt, dt, temperature=R_signal, T_op=scale_signal, light=spec.env.light
+    )
+    R, T_op_scale, I = R[:steps], T_op_scale[:steps], I[:steps]
+    params = _param_values(p)
+    scaled = [i for i, name in enumerate(free) if name == "T_op"]
+    # An affine map of (s, 1) is [A | B], one (3, 3 + free, steps) array
+    # holding a map per step; the step's start state is [I | 0].
+    start = np.eye(3, 3 + len(free))[:, :, None]
+
+    def stage(state, into):
+        """Rates at `state`, whose map is `into`, and the map of those rates."""
+        rates, (bb, bc, bn, cb, cc, nb, nn), cols = _stage(*state, spec.u, R, I, *params)
+        b, c, n = into
+        tangent = np.array([bb * b + bc * c + bn * n, cb * b + cc * c, nb * b + nn * n])
+        direct = np.array([cols["k" if name == "T_op" else name] for name in free])
+        direct[scaled] *= T_op_scale
+        tangent[:, 3:] += direct.swapaxes(0, 1)
+        return np.array(rates), tangent
+
+    def project(pre, into):
+        """`integrate`'s clamp of a stage state, and its map with the clamped rows zeroed."""
+        return np.maximum(pre, _FLOORS), (pre >= _FLOORS)[:, None, :] * into
+
+    x = traj.states[:steps].T
+    k1, K1 = stage(x, start)
+    k2, K2 = stage(*project(x + 0.5 * dt * k1, start + 0.5 * dt * K1))
+    k3, K3 = stage(*project(x + 0.5 * dt * k2, start + 0.5 * dt * K2))
+    k4, K4 = stage(*project(x + dt * k3, start + dt * K3))
+    sixth = dt / 6.0
+    _, step_map = project(
+        x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), start + sixth * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    )
+    S = _chain(np.moveaxis(step_map, 2, 0), idx)
+
+    y = traj.outputs[idx]
+    dy = p.psi * S[:, 0, :]
+    dy[:, [i for i, name in enumerate(free) if name == "psi"]] += y[:, None]  # y = psi * b
+    return y, dy
 
 
 def residuals(p: PlantParams, spec: FitSpec, series: BiomassTimeseries) -> np.ndarray:
@@ -207,12 +333,17 @@ def fit(spec: FitSpec, series: BiomassTimeseries) -> FitResult:
             values[name] = math.exp(log_val)
         return PlantParams(**values)
 
-    def objective(x: np.ndarray) -> float:
-        return cost(assemble(x), spec, series)
+    masses = np.asarray(series.masses)
+
+    def objective(x: np.ndarray) -> tuple:
+        """The cost at exp(x), the same number `cost` returns, and its gradient in x."""
+        y, dy = _outputs_and_sensitivities(assemble(x), spec, series.times, free)
+        r = y - masses
+        return float(np.mean(r * r)), (2.0 / len(r)) * (r @ dy)
 
     x0 = np.log([guess_values[name] for name in free])
     log_bounds = [tuple(np.log(spec.bounds[name])) for name in free]
-    initial_cost = objective(x0)
+    initial_cost = cost(assemble(x0), spec, series)
     if not math.isfinite(initial_cost):
         raise ValueError(f"cost at the initial guess is not finite ({initial_cost})")
 
@@ -220,18 +351,14 @@ def fit(spec: FitSpec, series: BiomassTimeseries) -> FitResult:
         objective,
         x0,
         method="L-BFGS-B",
-        jac="3-point",
+        jac=True,
         bounds=log_bounds,
-        options={
-            "maxiter": spec.max_iterations,
-            "ftol": 1e-7,
-            "finite_diff_rel_step": 1e-6,
-        },
+        options={"maxiter": spec.max_iterations, "ftol": 1e-7},
     )
 
     # res.fun need not be the cost at res.x when the optimizer stops early;
     # report the cost of the parameters actually returned.
-    final_cost = objective(res.x)
+    final_cost = cost(assemble(res.x), spec, series)
     if math.isfinite(final_cost) and final_cost <= initial_cost:
         best_x, best_cost = res.x, final_cost
     else:

@@ -71,7 +71,8 @@ def summarize(traj: FieldTrajectory, threshold: float = None, name: str = "scena
     histogram has 20 bins over the range of the final outputs; `report`
     re-bins paired scenarios on shared edges from ``final_outputs``.
     A statistic that is not finite (the variance of huge but finite
-    outputs can overflow) raises a ValueError that names it.
+    outputs can overflow) raises a ValueError that names it, and numpy's
+    overflow warning stays off stderr.
     """
     final = traj.final_outputs
     if final.size == 0:
@@ -79,11 +80,13 @@ def summarize(traj: FieldTrajectory, threshold: float = None, name: str = "scena
     if threshold is None:
         threshold = rejection_threshold(final, traj.config.rejection_percentile)
     counts, edges = np.histogram(final, bins=20)
+    with np.errstate(over="ignore"):  # the check below names the overflowed statistic instead
+        variance = float(final.var())
     summary = ScenarioSummary(
         name=name,
         n_plants=int(final.size),
         mean=float(final.mean()),
-        variance=float(final.var()),
+        variance=variance,
         threshold=float(threshold),
         fraction_above_threshold=float((final >= threshold).mean()),
         total_nitrogen=traj.total_nitrogen(),

@@ -197,6 +197,56 @@ def _rates(b, c, n, u, R, I, *params):
     return growth - litter, assim_c - consume_c, assim_n - consume_n
 
 
+def _stage(b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n):
+    """Rates, state Jacobian and log-parameter derivatives at one state.
+
+    Branch-free like `_flux_core`, whose fluxes it reuses, so it serves
+    python floats and numpy arrays alike. Returns ``(rates, jac, cols)``:
+    `rates` is (db, dc, dn); `jac` holds the seven nonzero entries of the
+    state Jacobian, (bb, bc, bn, cb, cc, nb, nn) with row = rate and
+    column = state; `cols` maps each `FLUX_PARAMS` name to its (db, dc,
+    dn) column of theta * d(rate)/d(theta). The temperature optimum acts
+    through R alone, and R * d/dR equals the `k` column, so `fitting`
+    scales that column for ``T_op``. The signature is `_flux_core`'s.
+    """
+    growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(
+        b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
+    )
+    kR = k * R
+    shoot = psi * b
+    root = (1.0 - psi) * b
+    inh_c = c + j_c * shoot
+    inh_n = n + j_n * root
+    # shoot * d(log assim_c)/d(shoot), and the same for uptake and the root
+    e_c = v / (v + shoot) + c / inh_c
+    e_n = v / (v + root) + n / inh_n
+    zero = 0.0 * b  # a zero of the argument's kind, so numpy callers get full columns
+    rates = (growth - litter, assim_c - consume_c, assim_n - consume_n)
+    jac = (
+        -kR * c * n / (b * b) - k_l * b * (b + 2.0 * k_ml) / (b + k_ml) ** 2,
+        kR * n / b,
+        kR * c / b,
+        assim_c * e_c / b,
+        -assim_c / inh_c - theta_c * kR,
+        assim_n * e_n / b,
+        -assim_n / inh_n - theta_n * kR,
+    )
+    cols = {
+        "k": (growth, -consume_c, -consume_n),
+        "k_l": (-litter, zero, zero),
+        "k_ml": (litter * k_ml / (b + k_ml), zero, zero),
+        "sigma_c": (zero, assim_c, zero),
+        "sigma_n": (zero, zero, assim_n),
+        "v": (zero, assim_c * shoot / (v + shoot), assim_n * root / (v + root)),
+        "j_c": (zero, assim_c * c / inh_c, zero),
+        "j_n": (zero, zero, assim_n * n / inh_n),
+        "psi": (zero, assim_c * e_c, -psi / (1.0 - psi) * assim_n * e_n),
+        "theta_c": (zero, -consume_c, zero),
+        "theta_n": (zero, zero, -consume_n),
+    }
+    return rates, jac, cols
+
+
 def _param_values(p: PlantParams) -> tuple:
     """Positional parameter tuple matching the _flux_core signature tail."""
     return tuple(getattr(p, name) for name in FLUX_PARAMS)

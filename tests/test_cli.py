@@ -594,3 +594,52 @@ class TestExtremeParameters:
         for m in [*(rng.normal(size=(3, 3)) for _ in range(50)), np.eye(3), np.diag([1.0, -5.0, 3.0])]:
             assert cli._spectral_radius_3x3(1e200 * m) == pytest.approx(
                 np.abs(np.linalg.eigvals(1e200 * m)).max(), rel=1e-9)
+
+
+class TestFitStepWarning:
+    def test_fit_warns_at_its_own_step_and_changes_no_output(self, tmp_path, capsys, monkeypatch):
+        data = write_dataset(tmp_path / "obs.csv", 2)
+        outs, stdouts = {}, {}
+        for label in ("warned", "quiet"):
+            if label == "quiet":
+                monkeypatch.setattr(cli, "RK4_REAL_AXIS_BOUND", float("inf"))
+            outs[label] = tmp_path / label
+            capsys.readouterr()
+            assert main(["fit", "--data", str(data), "--free", "k_l,sigma_c", "--out-dir", str(outs[label])]) == 0
+            captured = capsys.readouterr()
+            stdouts[label] = captured.out.replace(str(outs[label]), "<out>")
+            warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+            if label == "warned":
+                # the fit's dt of 0.02 times 180/day at the nominal initial state
+                assert len(warnings) == 1 and "dt=0.02" in warnings[0] and "is 3.6," in warnings[0]
+            else:
+                assert warnings == []
+        assert stdouts["warned"] == stdouts["quiet"]
+        for name in ("fit_results.csv", "nrmse_hist.csv"):
+            assert filecmp.cmp(outs["warned"] / name, outs["quiet"] / name, shallow=False)
+
+
+class TestFailedRunLeavesNoOutput:
+    def test_overflowing_summary(self, tmp_path):
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-m", "lettucesim.cli", "simulate", "--config", "builtin:uncontrolled",
+             "--set", "params.k=1e200", "--set", "field.season_days=2.0", "--out-dir", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1
+        assert not out.exists()
+        lines = result.stderr.splitlines()
+        assert lines and all(line.startswith(("warning:", "error:")) for line in lines)
+        # three significant digits, not the 200 of a fixed-point float
+        assert any("times the fastest rate" in line and len(line) < 200 for line in lines)
+        assert "summary statistic variance is not finite" in lines[-1]
+
+    def test_failed_sweep(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "o"
+        # day 1.01 is off the config's dt = 0.05 grid
+        assert main(["sweep", "--config", str(tiny_cfg), "--param-sets", "1", "--points", "3",
+                     "--day", "1.01", "--out-dir", str(out)]) == 1
+        assert "does not divide" in capsys.readouterr().err
+        assert not out.exists()
