@@ -23,9 +23,7 @@ time.
 The same batched RK4 loop serves any set of independent lanes:
 `integrate_lanes` runs lanes that each hold their own parameters and a
 constant dose, and keeps only their final states (the dose-response
-sweep uses it). One batched step costs a fixed ~164 us plus ~0.2 us per
-lane on a 2-vCPU VM, against ~4.4 us for one scalar `integrate` step,
-so batching pays from about 37 lanes up.
+sweep uses it from `metrics._BATCH_MIN_LANES` lanes up).
 
 Every CSV artifact of the package goes through `write_table`, which
 holds the one format: csv's default dialect, each float as its `repr`.

@@ -164,8 +164,9 @@ def dose_response_sweep(
     batched RK4 pass (`field.integrate_lanes`), which keeps only the
     final states; below that, one scalar `integrate` call per cell is
     faster. Both give bit-identical `final_b` and raise the same
-    ValueError for a `day` or an environment breakpoint off the dt grid.
-    ``env=None`` means the default environment.
+    ValueError for a `day` or an environment breakpoint off the dt grid,
+    and one naming the first cell whose final biomass is not finite
+    (without numpy warnings). ``env=None`` means the default environment.
     """
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size == 0:
@@ -179,16 +180,22 @@ def dose_response_sweep(
     if n_sets * u_grid.size >= _BATCH_MIN_LANES:
         # lane p * len(u_grid) + j is parameter set p under dose u_grid[j]
         lanes = np.repeat(np.array([p.as_array() for p in param_sets]), u_grid.size, axis=0)
-        b, _, _ = integrate_lanes(lanes, np.tile(u_grid, n_sets), env, s0, day, dt)
-        return DoseResponseTable(u_grid=u_grid, final_b=b.reshape(n_sets, u_grid.size))
-
-    final_b = np.empty((n_sets, u_grid.size))
-    for pi, p in enumerate(param_sets):
-        for ui, u in enumerate(u_grid):
-            traj = integrate(
-                p, s0, PiecewiseConstantSignal.constant(float(u)), env, 0.0, day, dt
-            )
-            final_b[pi, ui] = traj.states[-1, 0]
+        with np.errstate(all="ignore"):  # the check below names the first non-finite cell instead
+            b, _, _ = integrate_lanes(lanes, np.tile(u_grid, n_sets), env, s0, day, dt)
+        final_b = b.reshape(n_sets, u_grid.size)
+    else:
+        final_b = np.empty((n_sets, u_grid.size))
+        for pi, p in enumerate(param_sets):
+            for ui, u in enumerate(u_grid):
+                traj = integrate(
+                    p, s0, PiecewiseConstantSignal.constant(float(u)), env, 0.0, day, dt
+                )
+                final_b[pi, ui] = traj.states[-1, 0]
+    bad = np.argwhere(~np.isfinite(final_b))
+    if bad.size:
+        pi, ui = bad[0]
+        cell = f"parameter set {pi} at dose {float(u_grid[ui])!r}"
+        raise ValueError(f"final biomass of {cell} is not finite; check dt and the plant parameters")
     return DoseResponseTable(u_grid=u_grid, final_b=final_b)
 
 

@@ -636,6 +636,22 @@ class TestFailedRunLeavesNoOutput:
         assert any("times the fastest rate" in line and len(line) < 200 for line in lines)
         assert "summary statistic variance is not finite" in lines[-1]
 
+    @pytest.mark.parametrize("grid", [["--param-sets", "2", "--points", "3"], []], ids=["scalar", "batched"])
+    def test_non_finite_sweep(self, grid, tmp_path):
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-m", "lettucesim.cli", "sweep", "--config", "builtin:uncontrolled",
+             "--set", "params.sigma_c=1e300", "--day", "2.0", *grid, "--out-dir", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1
+        assert not out.exists()
+        lines = result.stderr.splitlines()
+        assert lines and all(line.startswith(("warning:", "error:")) for line in lines)
+        assert lines[-1] == ("error: ValueError: final biomass of parameter set 0 at dose 0.0 is not finite; "
+                             "check dt and the plant parameters")
+
     def test_failed_sweep(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "o"
         # day 1.01 is off the config's dt = 0.05 grid

@@ -1,5 +1,7 @@
 """Harvest statistics, comparisons, and the dose-response sweep."""
 
+import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -184,6 +186,20 @@ class TestDoseResponseSweep:
             messages.append(str(exc.value))
         assert 3 < metrics._BATCH_MIN_LANES <= 40
         assert messages[0] == messages[1]
+
+    def test_non_finite_cell_named_alike_on_both_branches(self):
+        huge = dataclasses.replace(P, sigma_c=1e300)
+        messages = []
+        for n_sets, n_doses in ((3, 3), (4, 10)):
+            sets = [P, P, huge, P][:n_sets]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy RuntimeWarning on either branch
+                with pytest.raises(ValueError) as exc:
+                    ls.dose_response_sweep(sets, np.linspace(0.0, 0.15, n_doses), day=2.0)
+            messages.append(str(exc.value))
+        assert 9 < metrics._BATCH_MIN_LANES <= 40
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("final biomass of parameter set 2 at dose 0.0 is not finite")
 
     def test_mean_output_curve(self):
         traj = run_small()

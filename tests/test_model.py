@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lettucesim as ls
+from lettucesim import model
 from lettucesim.model import _flux_core, _param_values
 
 P = ls.NOMINAL_PARAMS
@@ -298,3 +299,85 @@ class TestTypes:
     def test_bad_env_rejected(self):
         with pytest.raises(ValueError):
             ls.EnvPoint(22.0, -1.0)
+
+
+def per_sample_cooperativity(p, env, sample_count, seed):
+    """The per-sample reference loop: `jacobian_state`, the cleared-form
+    input slope and `_flux_core` at one state at a time, recording
+    violations in the listing order of `check_cooperativity`.
+
+    Returns (violation_count, violations, min_offdiagonal,
+    min_input_gradient, min_flux); the margins skip the structural zeros
+    J[1,2], J[2,1] and the input Jacobian's two zero entries.
+    """
+    rng = np.random.default_rng(seed)
+    lo = np.log([1e-4, 1e-8, 1e-8, 1e-8])
+    hi = np.log([1e3, 1e2, 1e2, 1.0])
+    draws = np.exp(rng.uniform(lo, hi, size=(sample_count, 4)))
+    R = ls.temperature_response(env.T, p.T_op)
+    pv = _param_values(p)
+    gamma = 1.0 - p.psi
+    violations, count = [], 0
+    min_off = min_du = min_flux = np.inf
+
+    def record(kind, state, u, value):
+        nonlocal count
+        count += 1
+        if len(violations) < 100:
+            violations.append((kind, state, u, value))
+
+    for b, c, n, u in draws:
+        J = ls.jacobian_state(ls.PlantState(b, c, n), u, env, p)
+        for i, j in ((0, 1), (0, 2), (1, 0), (2, 0)):
+            min_off = min(min_off, J[i, j])
+            if J[i, j] < 0.0:
+                record(f"offdiagonal[{i},{j}]", (b, c, n), u, J[i, j])
+        root = gamma * b
+        du = p.sigma_n * p.v * p.j_n * gamma**2 * b * b / ((p.v + root) * (n + p.j_n * root))
+        min_du = min(min_du, du)
+        if du < 0.0:
+            record("input_gradient", (b, c, n), u, du)
+        labels = ("growth", "litter", "consume_c", "consume_n", "assim_c", "assim_n")
+        for label, flux in zip(labels, _flux_core(b, c, n, u, R, env.I, *pv)):
+            min_flux = min(min_flux, flux)
+            if flux < 0.0:
+                record(f"flux:{label}", (b, c, n), u, flux)
+    return count, violations, min_off, min_du, min_flux
+
+
+def corrupted(name, factor=-1.0):
+    bad = ls.PlantParams(**{n: getattr(P, n) for n in ls.PARAM_NAMES})
+    object.__setattr__(bad, name, factor * getattr(P, name))
+    return bad
+
+
+class TestCooperativityAgainstPerSampleLoop:
+    @pytest.mark.parametrize("params", [P, corrupted("k"), corrupted("k_l"), corrupted("sigma_c"), corrupted("sigma_n")],
+                             ids=["nominal", "-k", "-k_l", "-sigma_c", "-sigma_n"])
+    @pytest.mark.parametrize("sample_count, seeds", [(1, (0, 1, 2, 3)), (200, (0, 1, 2)), (3000, (0, 5))])
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+    def test_report_equals_the_loop(self, params, sample_count, seeds, block, monkeypatch):
+        if block is not None:  # the listing's cut at 100 then falls inside a later block
+            monkeypatch.setattr(model, "_CHECK_BLOCK", block)
+        for seed in seeds:
+            report = ls.check_cooperativity(params, ENV, sample_count=sample_count, seed=seed)
+            count, violations, min_off, min_du, min_flux = per_sample_cooperativity(params, ENV, sample_count, seed)
+            assert report.violation_count == count
+            assert len(report.violations) == len(violations) == min(count, 100)
+            for (kind, state, u, value), (kind0, state0, u0, value0) in zip(report.violations, violations):
+                assert (kind, state, u) == (kind0, state0, u0)
+                assert value == pytest.approx(value0, rel=1e-12)
+            assert report.min_offdiagonal == pytest.approx(min_off, rel=1e-12)
+            assert report.min_input_gradient == pytest.approx(min_du, rel=1e-12)
+            assert report.min_flux == min_flux
+
+    def test_negative_growth_rate_overflows_the_listing(self):
+        report = ls.check_cooperativity(corrupted("k"), ENV, sample_count=3000, seed=0)
+        assert report.violation_count > 100 and len(report.violations) == 100
+
+    def test_nominal_margins_are_positive(self):
+        for seed in range(3):
+            report = ls.check_cooperativity(P, ENV, sample_count=3000, seed=seed)
+            assert report.min_offdiagonal > 0.0
+            assert report.min_input_gradient > 0.0
+            assert report.min_flux > 0.0
