@@ -99,16 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="format trajectory.csv in up to this many worker processes, capped at the "
                         "plant count and the usable CPUs; outputs are byte-identical for any value")
 
+    def add_sweep_grid(p):
+        p.add_argument("--param-sets", type=_positive_int, default=10, help="perturbed parameter sets for the sweep")
+        p.add_argument("--points", type=_positive_int, default=20, help="dose grid size for the sweep")
+
     p = sub.add_parser("verify-monotone", help="check cooperativity and dose-response monotonicity")
     add_common(p)
     p.add_argument("--samples", type=_positive_int, default=1000, help="number of sampled states")
-    p.add_argument("--param-sets", type=_positive_int, default=10, help="perturbed parameter sets for the sweep")
-    p.add_argument("--points", type=_positive_int, default=20, help="dose grid size for the sweep")
+    add_sweep_grid(p)
 
     p = sub.add_parser("sweep", help="dose-response sweep: final biomass vs constant dose")
     add_common(p)
-    p.add_argument("--param-sets", type=_positive_int, default=10)
-    p.add_argument("--points", type=_positive_int, default=20)
+    add_sweep_grid(p)
     p.add_argument("--u-max", type=float, default=0.15)
     p.add_argument("--day", type=float, default=None, help="harvest day (default: season length)")
 

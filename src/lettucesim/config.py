@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import configparser
 import io
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from importlib import resources
+from operator import attrgetter
 
 from .control import ActuationSchedule, ControlPolicy, SaturationSpec
 from .field import (
@@ -54,28 +56,38 @@ _BUILTINS = {
     ),
 }
 
-# Every section and key a config may hold, with the type its value parses to.
+# Every section and key a config may hold: the type its value parses to and
+# the ScenarioConfig attribute it sets. parse_config and serialize_config
+# both read this table; policy.saturation.u_bar is always field.u_bar.
 _SCHEMA = {
-    "scenario": {"name": str, "seed": int},
-    "params": dict.fromkeys(PARAM_NAMES, float),
+    "scenario": {"name": (str, "name"), "seed": (int, "field.seed")},
+    "params": {name: (float, f"field.nominal_params.{name}") for name in PARAM_NAMES},
     "field": {
-        "n_plants": int,
-        "grid_rows": int,
-        "grid_cols": int,
-        "perturbation_frac": float,
-        "season_days": float,
-        "dt": float,
-        "b0": float,
-        "c0": float,
-        "n0": float,
-        "u_bar": float,
-        "rejection_percentile": float,
-        "threshold_g": float,
+        "n_plants": (int, "field.n_plants"),
+        "grid_rows": (int, "field.grid_rows"),
+        "grid_cols": (int, "field.grid_cols"),
+        "perturbation_frac": (float, "field.perturbation_frac"),
+        "season_days": (float, "field.season_days"),
+        "dt": (float, "field.dt"),
+        "b0": (float, "field.s0.b"),
+        "c0": (float, "field.s0.c"),
+        "n0": (float, "field.s0.n"),
+        "u_bar": (float, "field.u_bar"),
+        "rejection_percentile": (float, "field.rejection_percentile"),
+        "threshold_g": (float, "threshold_g"),
     },
-    "env": {"T": float, "I": float},
-    "control": {"variant": str, "gain": float, "u_range": float, "noise_frac": float},
-    "schedule": {"interval_days": float, "first_application_day": float},
-    "output": {"out_dir": str},
+    "env": {"T": (float, "field.env.temperature"), "I": (float, "field.env.light")},
+    "control": {
+        "variant": (str, "policy.variant"),
+        "gain": (float, "policy.gain"),
+        "u_range": (float, "policy.saturation.u_range"),
+        "noise_frac": (float, "policy.noise_frac"),
+    },
+    "schedule": {
+        "interval_days": (float, "schedule.interval_days"),
+        "first_application_day": (float, "schedule.first_application_day"),
+    },
+    "output": {"out_dir": (str, "out_dir")},
 }
 
 
@@ -114,98 +126,67 @@ def parse_config(text: str) -> ScenarioConfig:
     DEFAULT_INITIAL_STATE and the field module's DEFAULT_* constants.
     """
     parser = _read(text)
-    values = {section: {} for section in _SCHEMA}
+    attrs = defaultdict(dict)  # dotted path of a dataclass -> {attribute: parsed value}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            kind, path = _SCHEMA[section][key]
+            owner, _, attr = path.rpartition(".")
             try:
-                values[section][key] = _SCHEMA[section][key](raw)
+                attrs[owner][attr] = kind(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
-    scenario, field, env, control = (values[s] for s in ("scenario", "field", "env", "control"))
-    extras = dict(values["output"])
-    if "threshold_g" in field:
-        extras["threshold_g"] = field.pop("threshold_g")
-    state = {key[0]: field.pop(key) for key in ("b0", "c0", "n0") if key in field}  # PlantState b, c, n
-    if "seed" in scenario:
-        field["seed"] = scenario["seed"]
+    top, env, control = attrs[""], attrs["field.env"], attrs["policy"]
     try:
-        field_cfg = FieldConfig(
-            nominal_params=replace(NOMINAL_PARAMS, **values["params"]),
-            s0=replace(DEFAULT_INITIAL_STATE, **state),
-            env=EnvSchedule.constant(env.get("T", DEFAULT_TEMPERATURE), env.get("I", DEFAULT_LIGHT)),
-            **field,
+        field = FieldConfig(
+            nominal_params=replace(NOMINAL_PARAMS, **attrs["field.nominal_params"]),
+            s0=replace(DEFAULT_INITIAL_STATE, **attrs["field.s0"]),
+            env=EnvSchedule.constant(env.get("temperature", DEFAULT_TEMPERATURE), env.get("light", DEFAULT_LIGHT)),
+            **attrs["field"],
         )
         policy = ControlPolicy(
             variant=control.pop("variant", DEFAULT_VARIANT),
             saturation=SaturationSpec(
-                u_bar=field_cfg.u_bar, u_range=control.pop("u_range", DEFAULT_U_RANGE)
+                u_bar=field.u_bar, u_range=attrs["policy.saturation"].get("u_range", DEFAULT_U_RANGE)
             ),
             **control,
         )
-        schedule = ActuationSchedule(**values["schedule"])
+        schedule = ActuationSchedule(**attrs["schedule"])
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     return ScenarioConfig(
-        name=scenario.get("name", _DEFAULT_NAME),
-        field=field_cfg,
-        policy=policy,
-        schedule=schedule,
-        **extras,
+        name=top.pop("name", _DEFAULT_NAME), field=field, policy=policy, schedule=schedule, **top
     )
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Render a config back to text; parsing the result gives an equal config."""
+    if cfg.policy.saturation.u_bar != cfg.field.u_bar:
+        raise ConfigError(
+            f"cannot serialize policy.saturation.u_bar={cfg.policy.saturation.u_bar!r}: a config holds "
+            f"one baseline dose, field.u_bar={cfg.field.u_bar!r}"
+        )
     parser = _parser()
-    parser["scenario"] = {"name": cfg.name, "seed": str(cfg.field.seed)}
-    parser["params"] = {
-        name: repr(float(getattr(cfg.field.nominal_params, name))) for name in PARAM_NAMES
-    }
-    field_section = {
-        "n_plants": str(cfg.field.n_plants),
-        "grid_rows": str(cfg.field.grid_rows),
-        "grid_cols": str(cfg.field.grid_cols),
-        "perturbation_frac": repr(cfg.field.perturbation_frac),
-        "season_days": repr(cfg.field.season_days),
-        "dt": repr(cfg.field.dt),
-        "b0": repr(cfg.field.s0.b),
-        "c0": repr(cfg.field.s0.c),
-        "n0": repr(cfg.field.s0.n),
-        "u_bar": repr(cfg.field.u_bar),
-        "rejection_percentile": repr(cfg.field.rejection_percentile),
-    }
-    if cfg.threshold_g is not None:
-        field_section["threshold_g"] = repr(cfg.threshold_g)
-    parser["field"] = field_section
-    env = {}
-    for key, label in (("T", "temperature"), ("I", "light")):
-        signal = getattr(cfg.field.env, label)
-        if signal != PiecewiseConstantSignal.constant(signal.values[0]):
-            raise ConfigError(
-                f"cannot serialize the {label} signal: a config holds one constant from day 0, "
-                f"got breakpoints {signal.breakpoints}"
-            )
-        env[key] = repr(signal.values[0])
-    parser["env"] = env
-    parser["control"] = {
-        "variant": cfg.policy.variant,
-        "gain": repr(cfg.policy.gain),
-        "u_range": repr(cfg.policy.saturation.u_range),
-        "noise_frac": repr(cfg.policy.noise_frac),
-    }
-    parser["schedule"] = {
-        "interval_days": repr(cfg.schedule.interval_days),
-        "first_application_day": repr(cfg.schedule.first_application_day),
-    }
-    parser["output"] = {"out_dir": cfg.out_dir}
+    for section, keys in _SCHEMA.items():
+        parser[section] = {}
+        for key, (kind, path) in keys.items():
+            value = attrgetter(path)(cfg)
+            if isinstance(value, PiecewiseConstantSignal):
+                if value != PiecewiseConstantSignal.constant(value.values[0]):
+                    raise ConfigError(
+                        f"cannot serialize the {path.rpartition('.')[2]} signal: a config holds one "
+                        f"constant from day 0, got breakpoints {value.breakpoints}"
+                    )
+                value = value.values[0]
+            if value is not None:  # threshold_g
+                parser[section][key] = repr(float(value)) if kind is float else str(value)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

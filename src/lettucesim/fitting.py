@@ -385,7 +385,7 @@ def generate_synthetic(
     env: EnvSchedule = DEFAULT_ENV,
     u: float = DEFAULT_U_BAR,
     s0: PlantState = DEFAULT_INITIAL_STATE,
-    dt: float = 0.02,
+    dt: float = FitSpec.dt,
     mass_kind: str = "dry",
 ) -> list:
     """Simulate plants and sample sparse observations, optionally noised.

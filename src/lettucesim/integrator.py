@@ -89,10 +89,6 @@ class Trajectory:
     states: np.ndarray
     outputs: np.ndarray
 
-    def final_state(self) -> PlantState:
-        b, c, n = self.states[-1]
-        return PlantState(float(b), float(c), float(n))
-
     def final_output(self) -> float:
         return float(self.outputs[-1])
 

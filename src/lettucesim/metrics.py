@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, FieldTrajectory, integrate_lanes, rejection_threshold
+from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, FieldConfig, FieldTrajectory, integrate_lanes, rejection_threshold
 from .integrator import EnvSchedule, PiecewiseConstantSignal, Trajectory, integrate
 from .model import PlantState
 
@@ -149,10 +149,10 @@ class DoseResponseTable:
 def dose_response_sweep(
     param_sets,
     u_grid,
-    day: float = 50.0,
+    day: float = FieldConfig.season_days,
     env: EnvSchedule = DEFAULT_ENV,
     s0: PlantState = DEFAULT_INITIAL_STATE,
-    dt: float = 0.01,
+    dt: float = FieldConfig.dt,
 ) -> DoseResponseTable:
     """Final biomass at a fixed day under each constant nitrogen level.
 

@@ -20,27 +20,12 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 # Numerical floor for structural biomass; several fluxes divide by b.
 B_EPS = 1e-6
-
-PARAM_NAMES = (
-    "k",
-    "k_l",
-    "k_ml",
-    "sigma_c",
-    "sigma_n",
-    "v",
-    "j_c",
-    "j_n",
-    "psi",
-    "T_op",
-    "theta_c",
-    "theta_n",
-)
 
 
 @dataclass(frozen=True)
@@ -98,6 +83,11 @@ class PlantParams:
         if len(vals) != len(PARAM_NAMES):
             raise ValueError(f"expected {len(PARAM_NAMES)} parameter values, got {len(vals)}")
         return cls(**dict(zip(PARAM_NAMES, vals)))
+
+
+# The canonical parameter order (arrays, CSV columns, sampling), read from
+# PlantParams' fields so it is written once.
+PARAM_NAMES = tuple(f.name for f in fields(PlantParams))
 
 
 # Nominal iceberg-lettuce parameter set used by the shipped scenarios.

@@ -1,12 +1,13 @@
 """Scenario config defaults, builtins, and serialize/parse round-trips."""
 
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lettucesim as ls
-from lettucesim.config import builtin_config_names, load_config, parse_config, serialize_config
+from lettucesim.config import _SCHEMA, builtin_config_names, load_config, parse_config, serialize_config
 from lettucesim.integrator import PiecewiseConstantSignal
 
 # sha256 prefixes of each builtin's serialized text, as written when every
@@ -68,6 +69,29 @@ class TestSerialize:
         field = ls.FieldConfig(env=ls.EnvSchedule(**signals))
         with pytest.raises(ls.ConfigError, match=label):
             serialize_config(ls.ScenarioConfig(cfg.name, field, cfg.policy, cfg.schedule))
+
+    def test_saturation_u_bar_apart_from_field_rejected(self):
+        cfg = load_config("builtin:ideal")
+        policy = dataclasses.replace(cfg.policy, saturation=ls.SaturationSpec(0.1, 0.01))
+        with pytest.raises(ls.ConfigError, match=r"u_bar=0\.1\b.*u_bar=0\.075"):
+            serialize_config(dataclasses.replace(cfg, policy=policy))
+
+
+def _settable_paths(obj, prefix=""):
+    """Dotted paths of every attribute a config can set, down to the env signals."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value) and not isinstance(value, PiecewiseConstantSignal):
+            yield from _settable_paths(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_schema_sets_every_attribute_once():
+    paths = [path for keys in _SCHEMA.values() for _, path in keys.values()]
+    assert len(paths) == len(set(paths))
+    # policy.saturation.u_bar is not a key of its own: it is always field.u_bar
+    assert sorted(paths) == sorted(set(_settable_paths(parse_config(""))) - {"policy.saturation.u_bar"})
 
 
 def _floats(lo, hi):
