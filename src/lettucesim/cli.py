@@ -208,12 +208,13 @@ def _warn_if_unstable_step(params, s0, u, env, dt) -> None:
     The rate is the largest eigenvalue modulus of the state Jacobian at
     the initial state `s0`, the dose `u` and the day-0 environment of
     `env`, under `params`. Nothing is ever rejected, not even when
-    extreme parameters overflow the Jacobian: the warning then says that
-    the rate could not be evaluated.
+    extreme parameters overflow the Jacobian or underflow one of its
+    divisors to zero: the warning then says that the rate could not be
+    evaluated.
     """
     try:
         jac = jacobian_state(s0, u, env.value_at(0.0), params)
-    except OverflowError:  # a Python-float power of an extreme parameter
+    except (OverflowError, ZeroDivisionError):  # Python-float arithmetic at an extreme parameter
         fastest = math.inf
     else:
         fastest = _spectral_radius_3x3(jac)

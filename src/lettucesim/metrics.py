@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, FieldConfig, FieldTrajectory, integrate_lanes, rejection_threshold
-from .integrator import EnvSchedule, PiecewiseConstantSignal, Trajectory, integrate
+from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate
 from .model import PlantState
 
 # Cells from which the sweep runs as one batched RK4 pass. Measured on a
@@ -198,11 +198,3 @@ def dose_response_sweep(
         raise ValueError(f"final biomass of {cell} is not finite; check dt and the plant parameters")
     return DoseResponseTable(u_grid=u_grid, final_b=final_b)
 
-
-def mean_output_curve(traj: FieldTrajectory) -> Trajectory:
-    """Field-mean state and output over time, for shape diagnostics."""
-    return Trajectory(
-        times=traj.times.copy(),
-        states=traj.states.mean(axis=0),
-        outputs=traj.outputs.mean(axis=0),
-    )

@@ -198,6 +198,9 @@ def _stage(b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, t
     dn) column of theta * d(rate)/d(theta). The temperature optimum acts
     through R alone, and R * d/dR equals the `k` column, so `fitting`
     scales that column for ``T_op``. The signature is `_flux_core`'s.
+
+    This is the model's one derivative source: `jacobian_state`,
+    `check_cooperativity` and the fitter's tangent replay all read it.
     """
     growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(
         b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
@@ -260,7 +263,7 @@ def litter_loss(b: float, p: PlantParams) -> float:
         raise ValueError(f"b must be nonnegative, got {b!r}")
     if b == 0.0:
         return 0.0
-    return p.k_l * b / (1.0 + p.k_ml / b)
+    return _flux_core(b, 0.0, 0.0, 0.0, 0.0, 0.0, *_param_values(p))[1]
 
 
 def carbon_consumption(s: PlantState, T: float, p: PlantParams) -> float:
@@ -309,57 +312,16 @@ def output(s: PlantState, p: PlantParams) -> float:
     return p.psi * s.b
 
 
-def output_matrix(p: PlantParams) -> np.ndarray:
-    """Row vector mapping state to output: y = [psi, 0, 0] @ (b, c, n)."""
-    return np.array([p.psi, 0.0, 0.0])
-
-
 def jacobian_state(s: PlantState, u: float, env: EnvPoint, p: PlantParams) -> np.ndarray:
-    """Analytic 3x3 Jacobian of rhs with respect to (b, c, n)."""
+    """Analytic 3x3 Jacobian of rhs with respect to (b, c, n).
+
+    The seven entries are `_stage`'s; carbon and nitrogen do not act on
+    each other, so [1, 2] and [2, 1] are exact zeros.
+    """
     _require_b(s.b)
-    b, c, n = s.b, s.c, s.n
     R = temperature_response(env.T, p.T_op)
-    kR = p.k * R
-    gamma = 1.0 - p.psi
-
-    # Row b: growth minus litter.
-    dG_db = -kR * c * n / (b * b)
-    dL_db = p.k_l * b * (b + 2.0 * p.k_ml) / (b + p.k_ml) ** 2
-    dG_dc = kR * n / b
-    dG_dn = kR * c / b
-
-    # Row c: photosynthesis minus carbon consumption. Written from the
-    # cleared form A_c = sigma_c*I*v*j_c*psi^2*b^2 / ((v+psi*b)(c+j_c*psi*b)).
-    v_ = p.v
-    shoot = p.psi * b
-    den_c = v_ + shoot
-    inh_c = c + p.j_c * shoot
-    dAc_db = (
-        p.sigma_c * env.I * v_ * p.j_c * p.psi**2 * b
-        * (2.0 * c * v_ + b * c * p.psi + b * v_ * p.j_c * p.psi)
-        / (inh_c**2 * den_c**2)
-    )
-    dAc_dc = -p.sigma_c * env.I * v_ * p.j_c * p.psi**2 * b * b / (den_c * inh_c**2)
-
-    # Row n: uptake minus nitrogen consumption, same structure with the
-    # root fraction gamma and the input u in place of psi and I.
-    root = gamma * b
-    den_n = v_ + root
-    inh_n = n + p.j_n * root
-    dAn_db = (
-        p.sigma_n * u * v_ * p.j_n * gamma**2 * b
-        * (2.0 * n * v_ + b * n * gamma + b * v_ * p.j_n * gamma)
-        / (inh_n**2 * den_n**2)
-    )
-    dAn_dn = -p.sigma_n * u * v_ * p.j_n * gamma**2 * b * b / (den_n * inh_n**2)
-
-    return np.array(
-        [
-            [dG_db - dL_db, dG_dc, dG_dn],
-            [dAc_db, dAc_dc - p.theta_c * kR, 0.0],
-            [dAn_db, 0.0, dAn_dn - p.theta_n * kR],
-        ]
-    )
+    _, (bb, bc, bn, cb, cc, nb, nn), _ = _stage(s.b, s.c, s.n, u, R, env.I, *_param_values(p))
+    return np.array([[bb, bc, bn], [cb, cc, 0.0], [nb, 0.0, nn]])
 
 
 def jacobian_input(s: PlantState, u: float, env: EnvPoint, p: PlantParams) -> np.ndarray:
@@ -446,11 +408,12 @@ def check_cooperativity(p: PlantParams, env: EnvPoint, sample_count: int = 1000,
             for i, j in negative[: 100 - len(violations)]
         ]
 
-    output_ok = bool(np.all(output_matrix(p) >= 0.0))
+    # the output map y = psi * b is nonnegative exactly when psi is
+    output_ok = p.psi >= 0.0
     if not output_ok:
         violation_count += 1
         if len(violations) < 100:
-            violations.append(("output_map", None, None, float(output_matrix(p).min())))
+            violations.append(("output_map", None, None, float(p.psi)))
 
     return CooperativityReport(
         sample_count=sample_count,

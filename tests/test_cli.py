@@ -554,7 +554,7 @@ class TestNonFiniteEnvironment:
 
 
 class TestExtremeParameters:
-    """The step-stability warning never fails a command, however large a parameter."""
+    """The step-stability warning never fails a command, however large or small a parameter."""
 
     def simulate(self, tiny_cfg, tmp_path, capsys, override):
         with np.errstate(all="ignore"):
@@ -564,7 +564,8 @@ class TestExtremeParameters:
     @pytest.mark.parametrize("override, message", [
         ("params.k=1e200", "times the fastest rate"),  # finite Jacobian, entries near 1e200
         ("params.k_ml=1e300", "could not be evaluated"),  # (b + k_ml) ** 2 overflows
-        ("params.j_c=1e300", "could not be evaluated"),  # inh_c ** 2 overflows
+        ("params.j_c=1e300", "times the fastest rate"),  # j_c is never squared: a finite Jacobian, a real rate
+        ("params.j_n=5e-324", "could not be evaluated"),  # root * j_n underflows to a zero divisor
     ])
     def test_warns_once_and_runs(self, override, message, tiny_cfg, tmp_path, capsys):
         code, err = self.simulate(tiny_cfg, tmp_path, capsys, override)

@@ -200,9 +200,3 @@ class TestDoseResponseSweep:
         assert 9 < metrics._BATCH_MIN_LANES <= 40
         assert messages[0] == messages[1]
         assert messages[0].startswith("final biomass of parameter set 2 at dose 0.0 is not finite")
-
-    def test_mean_output_curve(self):
-        traj = run_small()
-        curve = ls.mean_output_curve(traj)
-        assert curve.outputs == pytest.approx(traj.outputs.mean(axis=0))
-        assert len(curve.times) == len(traj.times)

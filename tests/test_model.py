@@ -7,6 +7,8 @@ import lettucesim as ls
 from lettucesim import model
 from lettucesim.model import _flux_core, _param_values
 
+from jacobian_reference import cleared_jacobian_state
+
 P = ls.NOMINAL_PARAMS
 ENV = ls.EnvPoint(T=22.0, I=3.0)
 
@@ -192,9 +194,6 @@ class TestOutput:
     def test_hand_value(self):
         assert ls.output(ls.PlantState(50.0, 1.0, 1.0), P) == pytest.approx(35.9, rel=1e-12)
 
-    def test_output_matrix(self):
-        assert np.array_equal(ls.output_matrix(P), np.array([0.718, 0.0, 0.0]))
-
 
 def fd_jacobians(s, u, env, p, rel=6e-6):
     """Central finite differences of rhs; the independent oracle."""
@@ -271,6 +270,15 @@ class TestCooperativityCheck:
         assert any(kind.startswith("offdiagonal") for kind, *_ in report.violations)
         assert report.min_offdiagonal < 0.0
 
+    def test_corrupted_shoot_fraction_breaks_the_output_map(self):
+        # in the dark no flux goes negative, so the output map is the only violation
+        bad = corrupted("psi")
+        report = ls.check_cooperativity(bad, ls.EnvPoint(T=22.0, I=0.0), sample_count=200, seed=3)
+        assert not report.passed
+        assert not report.output_map_nonnegative
+        assert report.violations == (("output_map", None, None, bad.psi),)
+        assert report.violation_count == 1
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             ls.check_cooperativity(P, ENV, sample_count=0)
@@ -302,9 +310,9 @@ class TestTypes:
 
 
 def per_sample_cooperativity(p, env, sample_count, seed):
-    """The per-sample reference loop: `jacobian_state`, the cleared-form
-    input slope and `_flux_core` at one state at a time, recording
-    violations in the listing order of `check_cooperativity`.
+    """The per-sample reference loop: `cleared_jacobian_state`, the
+    cleared-form input slope and `_flux_core` at one state at a time,
+    recording violations in the listing order of `check_cooperativity`.
 
     Returns (violation_count, violations, min_offdiagonal,
     min_input_gradient, min_flux); the margins skip the structural zeros
@@ -327,7 +335,7 @@ def per_sample_cooperativity(p, env, sample_count, seed):
             violations.append((kind, state, u, value))
 
     for b, c, n, u in draws:
-        J = ls.jacobian_state(ls.PlantState(b, c, n), u, env, p)
+        J = cleared_jacobian_state(ls.PlantState(b, c, n), u, env, p)
         for i, j in ((0, 1), (0, 2), (1, 0), (2, 0)):
             min_off = min(min_off, J[i, j])
             if J[i, j] < 0.0:
