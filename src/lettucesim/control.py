@@ -88,16 +88,6 @@ class ActuationSchedule:
         return self.first_application_day + self.interval_days * np.arange(count)
 
 
-def saturate(x: float, spec: SaturationSpec) -> float:
-    """Clamp a dose correction to [-u_range, +u_range]."""
-    r = spec.u_range
-    if x > r:
-        return r
-    if x < -r:
-        return -r
-    return x
-
-
 def global_proportional(outputs: np.ndarray, policy: ControlPolicy) -> np.ndarray:
     """Dose per plant from the deviation to the field average output.
 
@@ -116,21 +106,27 @@ def local_proportional(outputs: np.ndarray, topology, policy: ControlPolicy) -> 
 
     u_i = u_bar + sat((gain / |N_i|) * sum_{j in N_i} (y_j - y_i)).
     ``topology`` is a sequence of neighbor index arrays, one per plant.
+    Plants with the same neighbor count d are one (plants, d) block, so
+    each plant's sum is numpy's sum over its own d gaps in topology
+    order, the same bits as summing that plant's gaps alone.
     """
     y = np.asarray(outputs, dtype=float)
     if y.size == 0:
         raise ValueError("outputs must be nonempty")
     if len(topology) != y.size:
         raise ValueError(f"topology has {len(topology)} entries for {y.size} plants")
+    counts = np.array([len(nbrs) for nbrs in topology])
+    if not counts.all():
+        raise ValueError(f"plant {int(np.argmin(counts))} has no neighbors")
+    flat = np.concatenate(topology)
+    starts = np.cumsum(counts) - counts
+    mean_gap = np.empty_like(y)
+    for d in np.unique(counts):
+        plants = np.flatnonzero(counts == d)
+        block = flat[starts[plants, None] + np.arange(d)]
+        mean_gap[plants] = (y[block] - y[plants, None]).sum(axis=1) / d
     spec = policy.saturation
-    u = np.empty_like(y)
-    for i in range(y.size):
-        nbrs = topology[i]
-        if len(nbrs) == 0:
-            raise ValueError(f"plant {i} has no neighbors")
-        mean_gap = (y[nbrs] - y[i]).sum() / len(nbrs)
-        u[i] = spec.u_bar + saturate(policy.gain * mean_gap, spec)
-    return u
+    return spec.u_bar + np.clip(policy.gain * mean_gap, -spec.u_range, spec.u_range)
 
 
 def apply_policy(policy: ControlPolicy, observations: np.ndarray, topology=None) -> np.ndarray:

@@ -7,9 +7,10 @@ current shoot outputs (optionally noised) and resets each plant's
 piecewise-constant nitrogen dose.
 
 Integration is vectorized across plants. Its RK4 kernel, `_advance`,
-holds the plants' states as one (3, plants) array and writes each stage
-once, as `model._rates` on the projected state: the same flux
-differences, in the same order, as the scalar `integrate`. So a field
+evaluates each stage as about sixteen numpy calls on same-shape row
+blocks of one preallocated workspace: the terms of `model._flux_core`
+and the differences of `model._rates`, each op with their operand
+order, and `integrate`'s projection as elementwise maxima. So a field
 run reproduces the per-plant `integrate` results bit for bit and is
 independent of any worker-thread count. That also rests on one step
 grid: the field takes its step count and its temperature and light per
@@ -43,7 +44,7 @@ import numpy as np
 
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
 from .integrator import GRID_TOL, EnvSchedule, sample_steps
-from .model import B_EPS, FLUX_PARAMS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState, _rates
+from .model import B_EPS, FLUX_PARAMS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
 
 # Light level calibrated so the nominal uncontrolled field reaches a
 # mean dry shoot biomass around 40 g by day 50 (builtin:uncontrolled).
@@ -355,34 +356,105 @@ _FLOORS = np.array([[B_EPS], [0.0], [0.0]])
 def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> None:
     """RK4-step all lanes in place from step `start` to `stop`.
 
-    `cols` comes from `_param_columns`. The state is one (3, lanes)
-    array, and each stage is one expression: `model._rates` on the
-    state projected onto its floors. That is the scalar `integrate`'s
-    arithmetic, operation for operation, with its `if` clamps as
-    elementwise maxima, so each lane matches `integrate` bit for bit.
-    Each step's state is written to ``states[:, step]`` unless `states`
-    is None, in which case only the final state (left in B, C, N) is
-    kept.
+    `cols` comes from `_param_columns`. Each stage evaluates `_flux_core`
+    and `model._rates` on row blocks of one preallocated workspace, every
+    ufunc writing with ``out=``: each op below keeps the operand order of
+    the `_flux_core` term its comment names, the RK4 sums are
+    `integrate`'s, and its `if` clamps are elementwise maxima, so each
+    lane matches `integrate` bit for bit. The temperature terms (R, k R,
+    theta k R) are computed once per distinct temperature, and the light
+    row only changes when the light does. Each step's state is written to
+    ``states[:, step]`` unless `states` is None, in which case only the
+    final state (left in B, C, N) is kept.
     """
-    params, T_op = cols
+    (k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n), T_op = cols
+    lanes = len(u)
     half = 0.5 * dt
     sixth = dt / 6.0
+    mul, div, add, sub, maximum = np.multiply, np.divide, np.add, np.subtract, np.maximum
 
-    x = np.array([B, C, N])
-    T_list = T_steps.tolist()
-    I_list = I_steps.tolist()
-    for i in range(start, stop):
-        # temperature response per lane (T_op varies across the field)
-        R = np.maximum(0.0, (T_op - np.abs(T_op - T_list[i])) / T_op)
-        I = I_list[i]
-        k1 = np.array(_rates(*x, u, R, I, *params))
-        k2 = np.array(_rates(*np.maximum(x + half * k1, _FLOORS), u, R, I, *params))
-        k3 = np.array(_rates(*np.maximum(x + half * k2, _FLOORS), u, R, I, *params))
-        k4 = np.array(_rates(*np.maximum(x + dt * k3, _FLOORS), u, R, I, *params))
-        x = np.maximum(x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), _FLOORS)
-        if states is not None:
-            states[:, i + 1] = x.T
-    B[:], C[:], N[:] = x
+    # lane constants as row blocks, so most ops below are same-shape
+    psi5 = np.array([psi, 1.0 - psi, psi, 1.0 - psi, k_l])
+    js = np.array([j_c, j_n, sigma_c, sigma_n])
+    vv = np.array([v, v])
+    floors = np.repeat(_FLOORS, lanes, axis=1)
+    theta_k = np.array([theta_c * k, theta_n * k])
+    temperatures = T_steps[start:stop].tolist()
+    lights = I_steps[start:stop].tolist()
+    terms = {}
+    for T in set(temperatures):
+        R = np.maximum(0.0, (T_op - np.abs(T_op - T)) / T_op)  # `temperature_response` per lane
+        terms[T] = (k * R, theta_k * R)  # k * R, and theta_c * k * R, theta_n * k * R
+
+    # one workspace: the step and stage states [b, c, n, k_ml], the four
+    # stages' rates, and the flux blocks named in `rates`; `lu` is [I, u]
+    rows = (4, 4, 3, 3, 3, 3, 5, 4, 5, 3, 3, 2)
+    x, y, k1, k2, k3, k4, m, h, z, a, lo, lu = np.split(np.empty((sum(rows), lanes)), np.cumsum(rows)[:-1])
+    x[:3] = B, C, N
+    x[3] = y[3] = k_ml
+    lu[1] = u
+    x3, y3 = x[:3], y[:3]
+    # b, b as 3 and 5 rows (views bound once: an op on them costs about
+    # half a broadcast of the row), [c, n, k_ml] and [c, n] of the step
+    # and the stage state
+    x_rows, y_rows = (
+        (s[0], np.broadcast_to(s[0], (3, lanes)), np.broadcast_to(s[0], (5, lanes)), s[1:], s[1:3]) for s in (x, y)
+    )
+    z_sat, z_cn, z_q, z_cb, z_nb, z_lit = z[:2], z[2:4], z[2:], z[2], z[3], z[4]
+    m_sr, m_4, m_lit, h_j, h_sig = m[:2], m[:4], m[4], h[:2], h[2:]
+    growth, assim = a[0], a[1:]
+    litter, consume = lo[0], lo[1:]
+    history = None if states is None else states.transpose(1, 2, 0)[start + 1 :]
+
+    def rates(b, b3, b5, cnk, cn, out):
+        """`model._rates` of a stage state, given as its rows, into out."""
+        div(cnk, b3, out=z_q)  # c / b, n / b, k_ml / b
+        mul(psi5, b5, out=m)  # shoot, root (and again), k_l * b
+        mul(kR, z_cb, out=growth)  # growth = k * R * (c / b)
+        mul(growth, z_nb, out=growth)  #   * (n / b)
+        mul(growth, b, out=growth)  #   * b
+        mul(js, m_4, out=h)  # shoot * j_c, root * j_n, sigma_c * shoot, sigma_n * root
+        div(m_sr, vv, out=z_sat)  # shoot / v, root / v
+        div(cn, h_j, out=z_cn)  # c / (shoot * j_c), n / (root * j_n)
+        add(z, 1.0, out=z)  # 1.0 + each of the five saturation terms
+        mul(z_sat, z_cn, out=z_sat)  # (1.0 + shoot / v) * (1.0 + c / (shoot * j_c)), and for n
+        mul(h_sig, lu, out=assim)  # sigma_c * shoot * I, sigma_n * root * u
+        div(assim, z_sat, out=assim)  # assim_c, assim_n
+        div(m_lit, z_lit, out=litter)  # litter = k_l * b / (1.0 + k_ml / b)
+        mul(thkR, cn, out=consume)  # consume_c = theta_c * k * R * c, consume_n
+        sub(a, lo, out=out)  # growth - litter, assim_c - consume_c, assim_n - consume_n
+
+    def project(step, k_prev):
+        """The stage state: x + step * k_prev, projected onto the floors."""
+        mul(k_prev, step, out=y3)
+        add(x3, y3, out=y3)
+        maximum(y3, floors, out=y3)
+
+    I_last = None
+    for i, (T, I) in enumerate(zip(temperatures, lights)):
+        kR, thkR = terms[T]
+        if I != I_last:
+            lu[0] = I
+            I_last = I
+        rates(*x_rows, k1)
+        project(half, k1)
+        rates(*y_rows, k2)
+        project(half, k2)
+        rates(*y_rows, k3)
+        project(dt, k3)
+        rates(*y_rows, k4)
+        # x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        mul(k2, 2.0, out=k2)
+        add(k1, k2, out=k1)
+        mul(k3, 2.0, out=k3)
+        add(k1, k3, out=k1)
+        add(k1, k4, out=k1)
+        mul(k1, sixth, out=k1)
+        add(x3, k1, out=x3)
+        maximum(x3, floors, out=x3)
+        if history is not None:
+            history[i] = x3
+    B[:], C[:], N[:] = x3
 
 
 _TRAJECTORY_HEADER = "plant_id,t,b,c,n,y,u\r\n"

@@ -176,10 +176,11 @@ def integrate(
 
     # Plain python floats in the inner loop: numpy scalars carry real
     # per-operation overhead at this call density. The stages are written
-    # out here, not taken from `model._rates` as `field._advance` does:
-    # one `_rates` call per stage made a 5,000-step run 26% to 45% slower
-    # with the same bits (34.2 -> 43.0 ms and 33.9 -> 49.3 ms, medians on a
-    # 2-vCPU VM), and every fit pays this loop.
+    # out here, not taken from `model._rates`: one `_rates` call per stage
+    # made a 5,000-step run 26% to 45% slower with the same bits (34.2 ->
+    # 43.0 ms and 33.9 -> 49.3 ms, medians on a 2-vCPU VM), and every fit
+    # pays this loop. `field._advance` writes the same fluxes as row-block
+    # ops instead, and the lane tests hold it to this loop's bits.
     u_list = u_steps.tolist()
     R_list = R_steps.tolist()
     I_list = I_steps.tolist()

@@ -18,9 +18,10 @@ from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate
 from .model import PlantState
 
 # Cells from which the sweep runs as one batched RK4 pass. Measured on a
-# 2-vCPU VM: a batched step costs ~164 us fixed plus ~0.2 us per lane,
-# a scalar `integrate` step ~4.4 us, so the two cross at about 37 lanes.
-_BATCH_MIN_LANES = 37
+# 2-vCPU VM: a 50-day batched pass took 0.19-0.21 s at 6 to 16 lanes
+# (~40 us per step, nearly all fixed), a 50-day scalar `integrate` call
+# 16.3-16.7 ms: the two tie at 12 lanes, and the batched pass wins from 13.
+_BATCH_MIN_LANES = 13
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,9 @@ def _rates(b, c, n, u, R, I, *params):
     """Time derivative (db, dc, dn) from `_flux_core`'s six fluxes.
 
     Branch-free like `_flux_core`, so it serves python floats and numpy
-    lanes alike; `params` is the `FLUX_PARAMS` tail.
+    lanes alike; `params` is the `FLUX_PARAMS` tail. `rhs` and the tests
+    call it; `integrate` inlines it, and `field._advance` writes it as
+    row-block ops with the same bits.
     """
     growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(b, c, n, u, R, I, *params)
     return growth - litter, assim_c - consume_c, assim_n - consume_n
@@ -263,7 +265,10 @@ def litter_loss(b: float, p: PlantParams) -> float:
         raise ValueError(f"b must be nonnegative, got {b!r}")
     if b == 0.0:
         return 0.0
-    return _flux_core(b, 0.0, 0.0, 0.0, 0.0, 0.0, *_param_values(p))[1]
+    # `_flux_core`'s litter term, written out: going through `_flux_core`
+    # would also evaluate the assimilation terms, which divide 0 by an
+    # underflowed 0 for subnormal b. A test pins it to `_flux_core`'s bits.
+    return p.k_l * b / (1.0 + p.k_ml / b)
 
 
 def carbon_consumption(s: PlantState, T: float, p: PlantParams) -> float:

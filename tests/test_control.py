@@ -12,16 +12,6 @@ LOCAL = ControlPolicy(variant="local", saturation=SAT, gain=0.05)
 
 
 class TestSaturate:
-    def test_zero_passes(self):
-        assert ls.saturate(0.0, SAT) == 0.0
-
-    def test_clamps_at_range(self):
-        assert ls.saturate(1.0, SAT) == 0.0075
-        assert ls.saturate(-1.0, SAT) == -0.0075
-
-    def test_interior_pass_through(self):
-        assert ls.saturate(-0.003, SAT) == -0.003
-
     def test_bounds(self):
         assert SAT.lower == pytest.approx(0.0675)
         assert SAT.upper == pytest.approx(0.0825)
@@ -107,10 +97,54 @@ class TestLocalProportional:
         scaled = ControlPolicy(variant="global", saturation=SAT, gain=LOCAL.gain * n / (n - 1))
         assert u_local == pytest.approx(ls.global_proportional(y, scaled), abs=1e-12)
 
+    @pytest.mark.parametrize("correction, clamped", [(0.0, 0.0), (1.0, 0.0075), (-1.0, -0.0075), (-0.003, -0.003)])
+    def test_correction_clamped_to_range(self, correction, clamped):
+        # with gain 1, plant 0's correction is its one neighbour's output
+        policy = ControlPolicy(variant="local", saturation=SAT, gain=1.0)
+        u = ls.local_proportional(np.array([0.0, correction]), [np.array([1]), np.array([0])], policy)
+        assert u[0] == SAT.u_bar + clamped
+        assert u[1] == SAT.u_bar - clamped
+
+    @pytest.mark.parametrize("shape", ["grid", "random"])
+    def test_equals_per_plant_sums(self, shape):
+        """Bit for bit the per-plant form: each plant's own gaps summed, scaled, then clamped.
+
+        Grids have 3-, 5- and 8-neighbour rows; the random topologies have
+        unsorted neighbour lists of 1 to 30, so numpy's pairwise summation
+        path runs too. A dose range as wide as the corrections keeps their
+        last bits in the doses.
+        """
+        rng = np.random.default_rng(6)
+        wide = SaturationSpec(u_bar=0.5, u_range=0.5)
+        for _ in range(40):
+            if shape == "grid":
+                rows, cols = rng.integers(1, 30, size=2)
+                n = int(rows * cols)
+                if n < 2:
+                    continue
+                topo = ls.grid_topology(int(rows), int(cols))
+            else:
+                n = int(rng.integers(2, 200))
+                topo = [rng.choice(np.delete(np.arange(n), i), size=int(rng.integers(1, min(n, 31))), replace=False)
+                        for i in range(n)]
+            scale = rng.choice([1e-3, 1.0, 1e3])
+            y = rng.uniform(0.0, 1.0, size=n) * scale
+            policy = ControlPolicy(variant="local", saturation=wide, gain=float(rng.choice([0.5, 1.0, 2.0]) / scale))
+            expected = []
+            for i, nbrs in enumerate(topo):
+                x = policy.gain * ((y[nbrs] - y[i]).sum() / len(nbrs))
+                expected.append(wide.u_bar + (0.5 if x > 0.5 else -0.5 if x < -0.5 else x))
+            assert ls.local_proportional(y, topo, policy).tobytes() == np.array(expected).tobytes()
+
     def test_isolated_plant_rejected(self):
         topo = [np.array([1]), np.array([0]), np.array([], dtype=int)]
         with pytest.raises(ValueError, match="no neighbors"):
             ls.local_proportional(np.array([1.0, 2.0, 3.0]), topo, LOCAL)
+
+    def test_first_isolated_plant_named(self):
+        topo = [np.array([2]), np.array([], dtype=int), np.array([0]), np.array([], dtype=int)]
+        with pytest.raises(ValueError, match="^plant 1 has no neighbors$"):
+            ls.local_proportional(np.array([1.0, 2.0, 3.0, 4.0]), topo, LOCAL)
 
     def test_range_safety(self):
         rng = np.random.default_rng(5)

@@ -318,6 +318,41 @@ class TestLaneKernel:
             assert np.array_equal(traj.states[i], single.states)
             assert np.array_equal(traj.outputs[i], single.outputs)
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_integrate_lanes_equals_integrate(self, data):
+        """`integrate_lanes` itself, lane by lane, under temperatures and light that switch back and forth."""
+        from lettucesim.field import integrate_lanes
+
+        lanes = data.draw(st.integers(1, 300), label="lanes")
+        frac = data.draw(st.floats(0.0, 0.3), label="frac")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = [ls.sample_params(P, frac, int(rng.integers(100)), i) for i in range(lanes)]
+        u = rng.uniform(0.0, 0.2, lanes)
+        u[rng.random(lanes) < 0.2] = 0.0
+        u[0] = 0.0
+        # dt up to 0.1 is far outside RK4's stable range, so the projection clamps fire
+        dt = data.draw(st.sampled_from([0.01, 0.05, 0.1]), label="dt")
+        steps = data.draw(st.integers(6, 40), label="steps")
+        switches = sorted(data.draw(st.lists(st.integers(1, steps - 1), min_size=4, max_size=4, unique=True),
+                                    label="temperature switch steps"))
+        mild = data.draw(st.floats(1.0, 40.0), label="mild T")
+        cold = data.draw(st.sampled_from([-5.0, 0.0]), label="cold T")
+        # 44 is twice the nominal T_op; 200 is above twice every drawn T_op
+        hot = data.draw(st.sampled_from([44.0, 200.0]), label="hot T")
+        # mild and cold each come back after another temperature held
+        temperature = ls.PiecewiseConstantSignal((0.0, *(s * dt for s in switches)), (mild, cold, mild, hot, cold))
+        dark = data.draw(st.integers(1, steps - 2), label="dark step")
+        light = ls.PiecewiseConstantSignal((0.0, dark * dt, (dark + 1) * dt),
+                                           (data.draw(st.sampled_from([200.0, 530.0])), 0.0, 530.0))
+        env = ls.EnvSchedule(temperature, light)
+        s0 = ls.FieldConfig().s0
+
+        B, C, N = integrate_lanes(np.array([p.as_array() for p in params]), u, env, s0, steps * dt, dt)
+        for i, p in enumerate(params):
+            single = ls.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, steps * dt, dt)
+            assert np.array([B[i], C[i], N[i]]).tobytes() == single.states[-1].tobytes()
+
 
 class TestFieldConfigValidation:
     def test_grid_mismatch(self):

@@ -72,6 +72,18 @@ class TestFluxes:
         assert expected == pytest.approx(7.446708554818769, rel=1e-12)
         assert ls.litter_loss(50.0, P) == pytest.approx(expected, rel=1e-12)
 
+    def test_litter_finite_down_to_the_smallest_subnormal(self):
+        for b in np.arange(1, 400) * 5e-324:
+            loss = ls.litter_loss(float(b), P)
+            assert np.isfinite(loss) and loss >= 0.0
+
+    def test_litter_equals_flux_core_bits(self):
+        rng = np.random.default_rng(8)
+        for b in [model.B_EPS, *np.exp(rng.uniform(np.log(model.B_EPS), np.log(1e4), 200))]:
+            p = ls.sample_params(P, 0.3, int(rng.integers(1000)), 0)
+            flux = _flux_core(float(b), 0.0, 0.0, 0.0, 0.0, 0.0, *_param_values(p))[1]
+            assert ls.litter_loss(float(b), p) == flux
+
     def test_litter_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             ls.litter_loss(-1.0, P)
