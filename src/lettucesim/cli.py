@@ -47,14 +47,19 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _positive(kind):
+    """An argparse type: a finite `kind` (int or float) above 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+
+    return parse
 
 
 def _observation_count(text: str):
@@ -95,23 +100,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scenario and write trajectory + summary")
     add_common(p)
-    p.add_argument("--threads", type=_positive_int, default=1,
+    p.add_argument("--threads", type=_positive(int), default=1,
                    help="format trajectory.csv in up to this many worker processes, capped at the "
                         "plant count and the usable CPUs; outputs are byte-identical for any value")
 
     def add_sweep_grid(p):
-        p.add_argument("--param-sets", type=_positive_int, default=10, help="perturbed parameter sets for the sweep")
-        p.add_argument("--points", type=_positive_int, default=20, help="dose grid size for the sweep")
+        p.add_argument("--param-sets", type=_positive(int), default=10, help="perturbed parameter sets for the sweep")
+        p.add_argument("--points", type=_positive(int), default=20, help="dose grid size for the sweep")
 
     p = sub.add_parser("verify-monotone", help="check cooperativity and dose-response monotonicity")
     add_common(p)
-    p.add_argument("--samples", type=_positive_int, default=1000, help="number of sampled states")
+    p.add_argument("--samples", type=_positive(int), default=1000, help="number of sampled states")
     add_sweep_grid(p)
 
     p = sub.add_parser("sweep", help="dose-response sweep: final biomass vs constant dose")
     add_common(p)
     add_sweep_grid(p)
-    p.add_argument("--u-max", type=float, default=0.15)
+    p.add_argument("--u-max", type=_positive(float), default=0.15)
     p.add_argument("--day", type=float, default=None, help="harvest day (default: season length)")
 
     p = sub.add_parser("fit", help="batch-fit every series in a CSV dataset")
@@ -120,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="optional config supplying guess/env assumptions (default: all defaults)")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--set", dest="overrides", action="append", default=[], metavar="SECTION.KEY=VALUE")
-    p.add_argument("--threads", type=_positive_int, default=1,
+    p.add_argument("--threads", type=_positive(int), default=1,
                    help="fit series in up to this many worker processes, capped at the series count "
                         "and the usable CPUs; outputs are byte-identical for any value")
     p.add_argument("--free", default=",".join(name for name in PARAM_NAMES if name not in DEFAULT_FIXED),
@@ -132,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-data", help="write a synthetic observation dataset CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=_positive_int, default=20)
+    p.add_argument("--count", type=_positive(int), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-frac", type=float, default=0.0)
     p.add_argument("--perturbation-frac", type=float, default=0.05)

@@ -12,7 +12,6 @@ import configparser
 import io
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from importlib import resources
 from operator import attrgetter
 
 from .control import ActuationSchedule, ControlPolicy, SaturationSpec
@@ -29,11 +28,11 @@ from .integrator import EnvSchedule, PiecewiseConstantSignal
 from .model import NOMINAL_PARAMS, PARAM_NAMES
 
 BUILTIN_PREFIX = "builtin:"
-_BASE_CONFIG = "configs/uncontrolled.cfg"
 _DEFAULT_NAME = "scenario"
 
-# Each builtin scenario is the base file plus these overrides; load_config
-# adds the scenario name and a runs/<name> output directory from the key.
+# Each builtin scenario is the library defaults (an empty config) plus these
+# overrides; load_config adds the scenario name and a runs/<name> output
+# directory from the key.
 _BUILTINS = {
     # Uniform-rate baseline: every plant gets the same dose every day.
     "uncontrolled": (),
@@ -218,10 +217,7 @@ def load_config(path: str, overrides=()) -> ScenarioConfig:
         name = str(path)[len(BUILTIN_PREFIX):]
         if name not in _BUILTINS:
             raise ConfigError(f"no builtin config named {name!r}")
-        text = apply_overrides(
-            resources.files("lettucesim").joinpath(_BASE_CONFIG).read_text(),
-            [*_BUILTINS[name], f"scenario.name={name}", f"output.out_dir=runs/{name}"],
-        )
+        text = apply_overrides("", [*_BUILTINS[name], f"scenario.name={name}", f"output.out_dir=runs/{name}"])
     else:
         try:
             with open(path) as fh:

@@ -17,9 +17,9 @@ grid: the field takes its step count and its temperature and light per
 step from `integrator.sample_steps`, as `integrate` does, so an
 environment breakpoint off the dt grid raises the same ValueError, and
 every application time must lie on the grid too (a ConfigError
-otherwise). `integrate` keeps its stages written out, because a
-function call per stage costs its float loop a quarter or more of its
-time.
+otherwise). `integrate` and the fit's tangent replay loop over
+`integrator._RK4_STAGES`; `_advance` keeps its fused stage sequence,
+because a loop there adds Python work on every batched step.
 
 The same batched RK4 loop serves any set of independent lanes:
 `integrate_lanes` runs lanes that each hold their own parameters and a
@@ -38,6 +38,7 @@ do not depend on the split.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -89,12 +90,12 @@ class FieldConfig:
             raise ConfigError(f"perturbation_frac must lie in [0, 0.5), got {self.perturbation_frac}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.season_days <= 0.0:
-            raise ConfigError(f"season_days must be positive, got {self.season_days}")
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.u_bar < 0.0:
-            raise ConfigError(f"u_bar must be nonnegative, got {self.u_bar}")
+        if not 0.0 < self.season_days < math.inf:
+            raise ConfigError(f"season_days must be positive and finite, got {self.season_days}")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.u_bar < math.inf:
+            raise ConfigError(f"u_bar must be nonnegative and finite, got {self.u_bar}")
         if not 0.0 <= self.rejection_percentile <= 100.0:
             raise ConfigError(f"rejection_percentile must lie in [0, 100], got {self.rejection_percentile}")
 

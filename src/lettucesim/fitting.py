@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import _FLOORS, DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, sample_params, write_table
-from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate, sample_steps
+from .integrator import _RK4_STAGES, EnvSchedule, PiecewiseConstantSignal, integrate, sample_steps
 from .model import (
     PARAM_NAMES,
     PlantParams,
@@ -159,15 +159,8 @@ class FitResult:
 def _trajectory(p: PlantParams, spec: FitSpec, times) -> tuple:
     """The run to the last observation time, and the step index of each observation (nearest grid point)."""
     steps = max(1, int(math.ceil(times[-1] / spec.dt - 1e-9)))
-    traj = integrate(
-        p,
-        spec.s0,
-        PiecewiseConstantSignal.constant(spec.u),
-        spec.env,
-        0.0,
-        steps * spec.dt,
-        spec.dt,
-    )
+    u = PiecewiseConstantSignal.constant(spec.u)
+    traj = integrate(p, spec.s0, u, spec.env, 0.0, steps * spec.dt, spec.dt)
     return traj, np.clip(np.rint(np.asarray(times) / spec.dt).astype(int), 0, steps)
 
 
@@ -231,12 +224,12 @@ def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tu
     `_simulated_outputs` bit for bit: the states come from `integrate`.
     The sensitivities s = theta * dx/dtheta are the exact tangent of its
     RK4 map. Each step's four stages are replayed, for all steps at
-    once, from `integrate`'s states with its arithmetic and projection
-    (the field's kernel does the same), and `_stage` gives the state
-    Jacobian and the parameter columns at each stage's own state. A stage
-    or step whose projection clamps a component zeroes that component's
-    sensitivity. Each step's tangent is an affine map of s, which
-    `_chain` composes up to the observation steps.
+    once, from `integrate`'s states with its stage table, arithmetic and
+    projection (the field's kernel does the same), and `_stage` gives the
+    state Jacobian and the parameter columns at each stage's own state.
+    A stage or step whose projection clamps a component zeroes that
+    component's sensitivity. Each step's tangent is an affine map of s,
+    which `_chain` composes up to the observation steps.
     """
     traj, idx = _trajectory(p, spec, times)
     steps = int(idx.max())  # the steps after the last observation change nothing
@@ -271,14 +264,12 @@ def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tu
         return np.maximum(pre, _FLOORS), (pre >= _FLOORS)[:, None, :] * into
 
     x = traj.states[:steps].T
-    k1, K1 = stage(x, start)
-    k2, K2 = stage(*project(x + 0.5 * dt * k1, start + 0.5 * dt * K1))
-    k3, K3 = stage(*project(x + 0.5 * dt * k2, start + 0.5 * dt * K2))
-    k4, K4 = stage(*project(x + dt * k3, start + dt * K3))
+    k, K = total, TOTAL = stage(x, start)
+    for h, w in _RK4_STAGES:
+        k, K = stage(*project(x + h * dt * k, start + h * dt * K))
+        total, TOTAL = total + w * k, TOTAL + w * K
     sixth = dt / 6.0
-    _, step_map = project(
-        x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), start + sixth * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    )
+    _, step_map = project(x + sixth * total, start + sixth * TOTAL)
     S = _chain(np.moveaxis(step_map, 2, 0), idx)
 
     y = traj.outputs[idx]

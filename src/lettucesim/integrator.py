@@ -23,6 +23,9 @@ from .model import B_EPS, EnvPoint, PlantParams, PlantState, _flux_core, _param_
 # Maximum misalignment (days) tolerated when snapping times to the step grid.
 GRID_TOL = 1e-9
 
+# RK4's stages after k1 (classical tableau): (fraction of dt, weight in k1 + 2 k2 + 2 k3 + k4).
+_RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
+
 
 @dataclass(frozen=True)
 class PiecewiseConstantSignal:
@@ -97,20 +100,20 @@ def sample_steps(t0: float, t1: float, dt: float, **signals: PiecewiseConstantSi
     """The dt step grid from t0 to t1: its step count and each signal's value on every step.
 
     Every integration path gets its grid here, so all of them accept and
-    reject the same inputs. `dt` must be positive and divide t1 - t0;
-    every breakpoint inside (t0, t1) must lie on the grid, so switching
-    times are exact; and each signal must be defined at t0. Errors name
-    the signal by its keyword. Returns ``(steps, values)``, where
-    ``values`` holds one array per signal, in keyword order, of its value
-    on each step [t_i, t_{i+1}). A breakpoint's value holds from the grid
-    step nearest to it, so a breakpoint a rounding error past a step
-    start (0.01 + 5 * 0.01 > 6 * 0.01) switches on that step, not one
-    step late.
+    reject the same inputs. `t0`, `t1` and `dt` must be finite; `dt` must
+    be positive and divide t1 - t0; every breakpoint inside (t0, t1) must
+    lie on the grid, so switching times are exact; and each signal must
+    be defined at t0. Errors name the signal by its keyword. Returns
+    ``(steps, values)``, where ``values`` holds one array per signal, in
+    keyword order, of its value on each step [t_i, t_{i+1}). A
+    breakpoint's value holds from the grid step nearest to it, so a
+    breakpoint a rounding error past a step start (0.01 + 5 * 0.01 >
+    6 * 0.01) switches on that step, not one step late.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t1 <= t0:
-        raise ValueError(f"t1={t1} must exceed t0={t0}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ValueError(f"t1={t1} must exceed t0={t0}, and both must be finite")
     span = t1 - t0
     steps = int(round(span / dt))
     if steps < 1 or abs(steps * dt - span) > GRID_TOL * max(1.0, abs(span)):
@@ -163,98 +166,58 @@ def integrate(
         raise ValueError("nitrogen input signal must be nonnegative")
 
     times = t0 + dt * np.arange(steps + 1)
-    states = np.empty((steps + 1, 3))
     k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n = _param_values(p)
-    half = 0.5 * dt
+    stages = [(h * dt, w) for h, w in _RK4_STAGES]
     sixth = dt / 6.0
     b_eps = B_EPS  # a local name is faster to read in the loop than a global
 
-    b, c, n = s0.b, s0.c, s0.n
-    if b < b_eps:
-        b = b_eps
-    states[0] = (b, c, n)
+    b, c, n = max(s0.b, b_eps), s0.c, s0.n
+    history = [b, c, n]  # flat: b, c, n of each step boundary in turn
 
     # Plain python floats in the inner loop: numpy scalars carry real
-    # per-operation overhead at this call density. The stages are written
-    # out here, not taken from `model._rates`: one `_rates` call per stage
-    # made a 5,000-step run 26% to 45% slower with the same bits (34.2 ->
-    # 43.0 ms and 33.9 -> 49.3 ms, medians on a 2-vCPU VM), and every fit
-    # pays this loop. `field._advance` writes the same fluxes as row-block
-    # ops instead, and the lane tests hold it to this loop's bits.
-    u_list = u_steps.tolist()
-    R_list = R_steps.tolist()
-    I_list = I_steps.tolist()
-
-    for i in range(steps):
-        u = u_list[i]
-        R = R_list[i]
-        I = I_list[i]
-
+    # per-operation overhead at this call density. With the flat history,
+    # the stage loop costs 0.96-1.00x four written-out stages with a row
+    # write per step (BENCH_19.json); a function call per step cost
+    # 1.7-2.1x. `field._advance` writes the same fluxes as row-block ops,
+    # and the lane tests hold it to this loop's bits.
+    for u, R, I in zip(u_steps.tolist(), R_steps.tolist(), I_steps.tolist()):
         g, l, cc, cn, ac, an = _flux_core(
             b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
         )
-        kb1 = g - l
-        kc1 = ac - cc
-        kn1 = an - cn
+        kb = sb = g - l
+        kc = sc = ac - cc
+        kn = sn = an - cn
+        for h, w in stages:
+            bs = b + h * kb
+            cs = c + h * kc
+            ns = n + h * kn
+            if bs < b_eps:
+                bs = b_eps
+            if cs < 0.0:
+                cs = 0.0
+            if ns < 0.0:
+                ns = 0.0
+            g, l, cc, cn, ac, an = _flux_core(
+                bs, cs, ns, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
+            )
+            kb = g - l
+            kc = ac - cc
+            kn = an - cn
+            sb = sb + w * kb  # k1 + 2 k2 + 2 k3 + k4, left to right
+            sc = sc + w * kc
+            sn = sn + w * kn
 
-        b2 = b + half * kb1
-        c2 = c + half * kc1
-        n2 = n + half * kn1
-        if b2 < b_eps:
-            b2 = b_eps
-        if c2 < 0.0:
-            c2 = 0.0
-        if n2 < 0.0:
-            n2 = 0.0
-        g, l, cc, cn, ac, an = _flux_core(
-            b2, c2, n2, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-        )
-        kb2 = g - l
-        kc2 = ac - cc
-        kn2 = an - cn
-
-        b3 = b + half * kb2
-        c3 = c + half * kc2
-        n3 = n + half * kn2
-        if b3 < b_eps:
-            b3 = b_eps
-        if c3 < 0.0:
-            c3 = 0.0
-        if n3 < 0.0:
-            n3 = 0.0
-        g, l, cc, cn, ac, an = _flux_core(
-            b3, c3, n3, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-        )
-        kb3 = g - l
-        kc3 = ac - cc
-        kn3 = an - cn
-
-        b4 = b + dt * kb3
-        c4 = c + dt * kc3
-        n4 = n + dt * kn3
-        if b4 < b_eps:
-            b4 = b_eps
-        if c4 < 0.0:
-            c4 = 0.0
-        if n4 < 0.0:
-            n4 = 0.0
-        g, l, cc, cn, ac, an = _flux_core(
-            b4, c4, n4, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-        )
-        kb4 = g - l
-        kc4 = ac - cc
-        kn4 = an - cn
-
-        b = b + sixth * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        c = c + sixth * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
-        n = n + sixth * (kn1 + 2.0 * kn2 + 2.0 * kn3 + kn4)
+        b = b + sixth * sb
+        c = c + sixth * sc
+        n = n + sixth * sn
         if b < b_eps:
             b = b_eps
         if c < 0.0:
             c = 0.0
         if n < 0.0:
             n = 0.0
-        states[i + 1] = (b, c, n)
+        history += (b, c, n)
 
+    states = np.array(history).reshape(-1, 3)
     outputs = psi * states[:, 0]
     return Trajectory(times=times, states=states, outputs=outputs)

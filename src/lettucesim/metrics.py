@@ -172,6 +172,8 @@ def dose_response_sweep(
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size == 0:
         raise ValueError("dose grid must be nonempty")
+    if not np.all(np.isfinite(u_grid)):
+        raise ValueError(f"dose grid must be finite, got {u_grid.tolist()}")
     if np.any(np.diff(u_grid) <= 0.0) or np.any(u_grid < 0.0):
         raise ValueError("dose grid must be ascending and nonnegative")
     if env is None:

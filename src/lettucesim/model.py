@@ -182,8 +182,9 @@ def _rates(b, c, n, u, R, I, *params):
 
     Branch-free like `_flux_core`, so it serves python floats and numpy
     lanes alike; `params` is the `FLUX_PARAMS` tail. `rhs` and the tests
-    call it; `integrate` inlines it, and `field._advance` writes it as
-    row-block ops with the same bits.
+    call it; `integrate` writes its three differences after each
+    `_flux_core` call, a call per stage cheaper than this one, and
+    `field._advance` writes them as row-block ops with the same bits.
     """
     growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(b, c, n, u, R, I, *params)
     return growth - litter, assim_c - consume_c, assim_n - consume_n

@@ -553,6 +553,44 @@ class TestNonFiniteEnvironment:
         assert not (tmp_path / "o").exists()
 
 
+class TestNonFiniteStep:
+    """A NaN or infinite step, season, baseline dose, harvest day or top dose fails before any work."""
+
+    @pytest.mark.parametrize("override", [
+        "field.dt=nan", "field.dt=inf", "field.season_days=nan", "field.season_days=inf", "field.u_bar=inf",
+    ])
+    def test_field_value_is_a_config_error(self, override, tmp_path, capsys):
+        capsys.readouterr()
+        argv = ["simulate", "--config", "builtin:uncontrolled", "--set", override, "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        key = override.split(".")[1].split("=")[0]
+        assert err.startswith(f"config error: {key} must be") and "finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--u-max", "nan", 2), ("--u-max", "inf", 2), ("--u-max", "0", 2), ("--u-max", "-0.1", 2),
+        ("--day", "nan", 1), ("--day", "inf", 1),
+    ])
+    def test_sweep_stderr_holds_only_the_error(self, flag, value, code, tmp_path):
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-m", "lettucesim.cli", "sweep", "--config", "builtin:uncontrolled",
+             flag, value, "--out-dir", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == code
+        assert not out.exists()
+        lines = result.stderr.splitlines()
+        if code == 2:
+            assert lines[0].startswith("usage:")
+            assert lines[-1].endswith(f"argument {flag}: must be positive and finite, got {value}")
+        else:
+            assert lines == [f"error: ValueError: t1={value} must exceed t0=0.0, and both must be finite"]
+        assert "Warning" not in result.stderr
+
+
 class TestExtremeParameters:
     """The step-stability warning never fails a command, however large or small a parameter."""
 

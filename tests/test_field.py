@@ -353,6 +353,22 @@ class TestLaneKernel:
             single = ls.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, steps * dt, dt)
             assert np.array([B[i], C[i], N[i]]).tobytes() == single.states[-1].tobytes()
 
+    @pytest.mark.parametrize("fast, floor", [(dict(k_l=500.0), 0), (dict(theta_n=0.05), 2)], ids=["b", "n"])
+    def test_integrate_lanes_equals_integrate_where_a_stage_clamp_fires(self, fast, floor):
+        """A litter or nitrogen-consumption rate so fast that the first stage state overshoots its floor."""
+        from lettucesim.field import integrate_lanes
+
+        p, s0, dt = dataclasses.replace(P, **fast), ls.DEFAULT_INITIAL_STATE, 0.1
+        env = ls.EnvSchedule(ls.PiecewiseConstantSignal.constant(22.0),
+                             ls.PiecewiseConstantSignal((0.0, 0.5), (530.0, 0.0)))
+        first_stage = np.array([s0.b, s0.c, s0.n]) + 0.5 * dt * ls.rhs(s0, 0.0, env.value_at(0.0), p)
+        assert first_stage[floor] < (ls.B_EPS, 0.0, 0.0)[floor]
+        u = np.array([0.0, 0.075])
+        B, C, N = integrate_lanes(np.array([p.as_array()] * 2), u, env, s0, 2.0, dt)
+        for i in range(2):
+            single = ls.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, 2.0, dt)
+            assert np.array([B[i], C[i], N[i]]).tobytes() == single.states[-1].tobytes()
+
 
 class TestFieldConfigValidation:
     def test_grid_mismatch(self):
@@ -366,6 +382,12 @@ class TestFieldConfigValidation:
     def test_bad_seed(self):
         with pytest.raises(ls.ConfigError):
             ls.FieldConfig(seed=-1)
+
+    @pytest.mark.parametrize("key", ["dt", "season_days", "u_bar"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_step_season_or_dose(self, key, bad):
+        with pytest.raises(ls.ConfigError, match=rf"^{key} must be \w+ and finite, got {bad}$"):
+            ls.FieldConfig(**{key: bad})
 
     def test_params_override_length(self):
         cfg = small_config()

@@ -112,6 +112,21 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             ls.integrate(P, S0, u, ENV, 0.0, 10.003, 0.01)
 
+    @pytest.mark.parametrize("t0, t1, dt, message", [
+        (0.0, 1.0, float("nan"), "dt must be positive"),
+        (0.0, 1.0, float("inf"), "dt must be positive"),
+        (float("nan"), 1.0, 0.01, "must exceed"),
+        (float("-inf"), 1.0, 0.01, "must exceed"),
+        (0.0, float("nan"), 0.01, "must exceed"),
+        (0.0, float("inf"), 0.01, "must exceed"),
+    ])
+    def test_non_finite_grid_rejected(self, t0, t1, dt, message):
+        u = ls.PiecewiseConstantSignal.constant(0.075, t_start=-1.0)
+        with pytest.raises(ValueError, match=message):
+            sample_steps(t0, t1, dt, input=u)
+        with pytest.raises(ValueError, match=message):
+            ls.integrate(P, S0, u, ENV, t0, t1, dt)
+
     def test_negative_input_rejected(self):
         u = ls.PiecewiseConstantSignal.constant(-0.01)
         with pytest.raises(ValueError):

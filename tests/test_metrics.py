@@ -128,12 +128,24 @@ class TestDoseResponseSweep:
         with pytest.raises(ValueError):
             ls.dose_response_sweep([P], np.array([]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_grid_rejected_on_both_branches(self, bad):
+        for n_sets, n_doses in ((1, 3), (4, 10)):
+            grid = np.linspace(0.0, 0.15, n_doses)
+            grid[-1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy RuntimeWarning ahead of the error
+                with pytest.raises(ValueError, match="dose grid must be finite"):
+                    ls.dose_response_sweep([P] * n_sets, grid, day=1.0)
+
     @pytest.mark.parametrize("batched", [False, True])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_matches_scalar_integrate_bitwise(self, batched, data):
         """Each cell equals its own scalar `integrate` run, on both sides of the crossover."""
-        n_doses = data.draw(st.integers(1, 12), label="doses")
+        # the scalar branch needs at least one set below the crossover
+        max_doses = 12 if batched else min(12, metrics._BATCH_MIN_LANES - 1)
+        n_doses = data.draw(st.integers(1, max_doses), label="doses")
         if batched:
             lo = -(-metrics._BATCH_MIN_LANES // n_doses)
             n_sets = data.draw(st.integers(lo, lo + 2), label="sets")
