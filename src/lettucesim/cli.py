@@ -47,16 +47,18 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _positive(kind):
-    """An argparse type: a finite `kind` (int or float) above 0."""
+def _positive(kind, zero_ok=False):
+    """An argparse type: a finite `kind` (int or float) above 0, or at 0 too when `zero_ok`."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        if not (value > 0 or zero_ok and value == 0) or value == math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be {'nonnegative' if zero_ok else 'positive'} and finite, got {text}"
+            )
         return value
 
     return parse
@@ -139,11 +141,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=_positive(int), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-frac", type=float, default=0.0)
+    p.add_argument("--noise-frac", type=_positive(float, zero_ok=True), default=0.0)
     p.add_argument("--perturbation-frac", type=float, default=0.05)
     p.add_argument("--n-obs", type=_observation_count, default=(3, 12),
                    help="observations per series: N or LO:HI, with 3 <= LO <= HI (default 3:12)")
-    p.add_argument("--span", type=float, default=50.0)
+    p.add_argument("--span", type=_positive(float), default=50.0)
     p.add_argument("--spacing", choices=["even", "random"], default="random")
     return parser
 

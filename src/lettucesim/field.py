@@ -6,22 +6,22 @@ between application epochs. At every epoch the policy observes the
 current shoot outputs (optionally noised) and resets each plant's
 piecewise-constant nitrogen dose.
 
-Integration is vectorized across plants. Its RK4 kernel, `_advance`,
-evaluates each stage as about sixteen numpy calls on same-shape row
-blocks of one preallocated workspace: the terms of `model._flux_core`
-and the differences of `model._rates`, each op with their operand
-order, and `integrate`'s projection as elementwise maxima. So a field
-run reproduces the per-plant `integrate` results bit for bit and is
-independent of any worker-thread count. That also rests on one step
-grid: the field takes its step count and its temperature and light per
-step from `integrator.sample_steps`, as `integrate` does, so an
+Integration is vectorized across plants. Its RK4 kernel, built once per
+run by `_lanes`, evaluates each stage as about sixteen numpy calls on
+same-shape row blocks of one preallocated workspace: the terms of
+`model._flux_core` and the differences of `model._rates`, each op with
+their operand order, and `integrate`'s projection as elementwise maxima.
+So a field run reproduces the per-plant `integrate` results bit for bit
+and is independent of any worker-thread count. That also rests on one
+step grid: the field takes its step count and its temperature and light
+per step from `integrator.sample_steps`, as `integrate` does, so an
 environment breakpoint off the dt grid raises the same ValueError, and
 every application time must lie on the grid too (a ConfigError
 otherwise). `integrate` and the fit's tangent replay loop over
-`integrator._RK4_STAGES`; `_advance` keeps its fused stage sequence,
-because a loop there adds Python work on every batched step.
+`integrator._RK4_STAGES`; the lane kernel keeps its fused stage
+sequence, because a loop there adds Python work on every batched step.
 
-The same batched RK4 loop serves any set of independent lanes:
+The same batched RK4 kernel serves any set of independent lanes:
 `integrate_lanes` runs lanes that each hold their own parameters and a
 constant dose, and keeps only their final states (the dose-response
 sweep uses it from `metrics._BATCH_MIN_LANES` lanes up).
@@ -45,7 +45,7 @@ import numpy as np
 
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
 from .integrator import GRID_TOL, EnvSchedule, sample_steps
-from .model import B_EPS, FLUX_PARAMS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
+from .model import B_EPS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
 
 # Light level calibrated so the nominal uncontrolled field reaches a
 # mean dry shoot biomass around 40 g by day 50 (builtin:uncontrolled).
@@ -94,6 +94,8 @@ class FieldConfig:
             raise ConfigError(f"season_days must be positive and finite, got {self.season_days}")
         if not 0.0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not self.season_days / self.dt < math.inf:
+            raise ConfigError(f"dt={self.dt} is too small for season_days={self.season_days}: the step count overflows")
         if not 0.0 <= self.u_bar < math.inf:
             raise ConfigError(f"u_bar must be nonnegative and finite, got {self.u_bar}")
         if not 0.0 <= self.rejection_percentile <= 100.0:
@@ -250,6 +252,9 @@ def simulate_field(
     ``plant_params`` overrides the seeded per-plant parameter draws,
     e.g. to replay a recorded field or relabel plants.
     """
+    if policy.saturation.u_bar != cfg.u_bar:
+        raise ConfigError(f"policy.saturation.u_bar={policy.saturation.u_bar!r} differs from field.u_bar="
+                          f"{cfg.u_bar!r}; a field run holds one baseline dose")
     app_times, app_steps = _validate_schedule(cfg, schedule)
     n = cfg.n_plants
     if plant_params is None:
@@ -260,38 +265,29 @@ def simulate_field(
         params = tuple(plant_params)
         if len(params) != n:
             raise ConfigError(f"plant_params has {len(params)} entries for {n} plants")
-    cols = _param_columns(np.array([p.as_array() for p in params]))
     psi = np.array([p.psi for p in params])
 
     total_steps, (T_steps, I_steps) = sample_steps(
         0.0, cfg.season_days, cfg.dt, temperature=cfg.env.temperature, light=cfg.env.light
     )
     times = cfg.dt * np.arange(total_steps + 1)
-
     states = np.empty((n, total_steps + 1, 3))
-    B, C, N = _initial_lanes(cfg.s0, n)
-    states[:, 0] = np.column_stack((B, C, N))
+    x, advance = _lanes(np.array([p.as_array() for p in params]), cfg.s0, T_steps, I_steps, cfg.dt, states)
 
-    # epoch e holds its dose over steps [bounds[e], bounds[e + 1])
-    bounds = [*app_steps, total_steps]
+    # epoch -1 holds the baseline dose `u_bar` until the first application
+    # (for no steps when that is at day zero), epoch e the policy's e-th dose
+    bounds = [0, *app_steps, total_steps]
     hold_days = np.diff([*app_times, cfg.season_days])
     applied_u = np.empty((len(app_times), n))
     topology = grid_topology(cfg.grid_rows, cfg.grid_cols) if policy.variant == "local" else None
 
-    # Baseline dose before the first application (only reached when the
-    # schedule starts after day zero).
-    if bounds[0] > 0:
-        u = np.full(n, cfg.u_bar)
-        _advance(B, C, N, u, cols, T_steps, I_steps, cfg.dt, 0, bounds[0], states)
-        _check_finite(B, C, N, times[bounds[0]])
-
-    for epoch, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        y = psi * B
-        seen = observe(y, policy.noise_frac, cfg.seed, epoch)
-        u = apply_policy(policy, seen, topology)
-        applied_u[epoch] = u
-        _advance(B, C, N, u, cols, T_steps, I_steps, cfg.dt, start, stop, states)
-        _check_finite(B, C, N, times[stop])
+    u = cfg.u_bar
+    for epoch, (start, stop) in enumerate(zip(bounds, bounds[1:]), -1):
+        if epoch >= 0:
+            seen = observe(psi * x[0], policy.noise_frac, cfg.seed, epoch)
+            u = applied_u[epoch] = apply_policy(policy, seen, topology)
+        advance(u, start, stop)
+        _check_finite(x, times[stop])
 
     outputs = psi[:, None] * states[:, :, 0]
     return FieldTrajectory(
@@ -306,28 +302,18 @@ def simulate_field(
     )
 
 
-def _check_finite(B, C, N, t) -> None:
-    """Raise on the first plant whose state is not finite at time `t`.
+def _check_finite(x, t) -> None:
+    """Raise on the first plant whose column of the state rows `x` is not finite at time `t`.
 
     A NaN passes both the `B_EPS` floor and the projection's maxima, so
     without this check it would reach the outputs silently.
     """
-    finite = np.isfinite(B) & np.isfinite(C) & np.isfinite(N)
+    finite = np.isfinite(x).all(axis=0)
     if not finite.all():
         raise ValueError(
             f"plant {int(np.argmin(finite))} has a non-finite state at t={float(t)!r}; "
             "check dt and the plant parameters"
         )
-
-
-def _param_columns(pmat: np.ndarray) -> tuple:
-    """Contiguous per-lane parameter columns from rows of `PlantParams.as_array()`.
-
-    Returns ``(params, T_op)``: the `_flux_core` tail in `FLUX_PARAMS`
-    order, and `T_op` for the temperature response.
-    """
-    column = dict(zip(PARAM_NAMES, pmat.T))
-    return tuple(column[name].copy() for name in FLUX_PARAMS), column["T_op"].copy()
 
 
 def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: float) -> tuple:
@@ -340,36 +326,33 @@ def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: fl
     off it raises the same ValueError. No per-step history is kept.
     """
     steps, (T_steps, I_steps) = sample_steps(0.0, t1, dt, temperature=env.temperature, light=env.light)
-    B, C, N = _initial_lanes(s0, len(u))
-    _advance(B, C, N, np.asarray(u, dtype=float), _param_columns(pmat), T_steps, I_steps, dt, 0, steps, None)
-    return B, C, N
-
-
-def _initial_lanes(s0: PlantState, count: int) -> tuple:
-    """(B, C, N) of `count` lanes at `s0`, b raised to its floor as `integrate` does."""
-    return np.full(count, max(s0.b, B_EPS)), np.full(count, s0.c), np.full(count, s0.n)
+    x, advance = _lanes(pmat, s0, T_steps, I_steps, dt)
+    advance(u, 0, steps)
+    return tuple(x.copy())  # a copy, so the caller does not keep the workspace alive
 
 
 # Floors of (b, c, n), one row each: the projection `integrate` applies.
 _FLOORS = np.array([[B_EPS], [0.0], [0.0]])
 
 
-def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> None:
-    """RK4-step all lanes in place from step `start` to `stop`.
+def _lanes(pmat, s0: PlantState, T_steps, I_steps, dt, states=None) -> tuple:
+    """The lane RK4 kernel of one run: ``(x, advance)``.
 
-    `cols` comes from `_param_columns`. Each stage evaluates `_flux_core`
-    and `model._rates` on row blocks of one preallocated workspace, every
-    ufunc writing with ``out=``: each op below keeps the operand order of
-    the `_flux_core` term its comment names, the RK4 sums are
-    `integrate`'s, and its `if` clamps are elementwise maxima, so each
-    lane matches `integrate` bit for bit. The temperature terms (R, k R,
-    theta k R) are computed once per distinct temperature, and the light
-    row only changes when the light does. Each step's state is written to
-    ``states[:, step]`` unless `states` is None, in which case only the
-    final state (left in B, C, N) is kept.
+    Lane i has the parameters ``pmat[i]`` (a `PlantParams.as_array()`
+    row) and starts at `s0`; `T_steps` and `I_steps` hold each step's
+    temperature and light. The lane constants, the temperature terms and
+    one workspace are built here, once. `x` is the live (3, lanes) view
+    of b, c and n; ``advance(u, start, stop)`` RK4-steps every lane in
+    place from step `start` to `stop` under the dose `u`, writing step
+    i's state to ``states[:, i]`` (`s0` to ``states[:, 0]``) unless
+    `states` is None. Each op below keeps the operand order of the
+    `_flux_core` term its comment names, the RK4 sums are `integrate`'s
+    and its `if` clamps are elementwise maxima, so each lane matches
+    `integrate` bit for bit, however the run is cut into `advance` calls.
     """
-    (k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n), T_op = cols
-    lanes = len(u)
+    # the columns of `PlantParams.as_array()` rows, in `PARAM_NAMES` order
+    k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, T_op, theta_c, theta_n = np.asarray(pmat, dtype=float).T
+    lanes = len(k)
     half = 0.5 * dt
     sixth = dt / 6.0
     mul, div, add, sub, maximum = np.multiply, np.divide, np.add, np.subtract, np.maximum
@@ -380,8 +363,8 @@ def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> Non
     vv = np.array([v, v])
     floors = np.repeat(_FLOORS, lanes, axis=1)
     theta_k = np.array([theta_c * k, theta_n * k])
-    temperatures = T_steps[start:stop].tolist()
-    lights = I_steps[start:stop].tolist()
+    temperatures = T_steps.tolist()
+    lights = I_steps.tolist()
     terms = {}
     for T in set(temperatures):
         R = np.maximum(0.0, (T_op - np.abs(T_op - T)) / T_op)  # `temperature_response` per lane
@@ -391,9 +374,8 @@ def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> Non
     # stages' rates, and the flux blocks named in `rates`; `lu` is [I, u]
     rows = (4, 4, 3, 3, 3, 3, 5, 4, 5, 3, 3, 2)
     x, y, k1, k2, k3, k4, m, h, z, a, lo, lu = np.split(np.empty((sum(rows), lanes)), np.cumsum(rows)[:-1])
-    x[:3] = B, C, N
+    x[:3] = [[max(s0.b, B_EPS)], [s0.c], [s0.n]]
     x[3] = y[3] = k_ml
-    lu[1] = u
     x3, y3 = x[:3], y[:3]
     # b, b as 3 and 5 rows (views bound once: an op on them costs about
     # half a broadcast of the row), [c, n, k_ml] and [c, n] of the step
@@ -405,10 +387,12 @@ def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> Non
     m_sr, m_4, m_lit, h_j, h_sig = m[:2], m[:4], m[4], h[:2], h[2:]
     growth, assim = a[0], a[1:]
     litter, consume = lo[0], lo[1:]
-    history = None if states is None else states.transpose(1, 2, 0)[start + 1 :]
+    history = None if states is None else states.transpose(1, 2, 0)
+    if history is not None:
+        history[0] = x3
 
-    def rates(b, b3, b5, cnk, cn, out):
-        """`model._rates` of a stage state, given as its rows, into out."""
+    def rates(kR, thkR, b, b3, b5, cnk, cn, out):
+        """`model._rates` of a stage state, given as its rows, under the temperature terms, into out."""
         div(cnk, b3, out=z_q)  # c / b, n / b, k_ml / b
         mul(psi5, b5, out=m)  # shoot, root (and again), k_l * b
         mul(kR, z_cb, out=growth)  # growth = k * R * (c / b)
@@ -431,31 +415,35 @@ def _advance(B, C, N, u, cols, T_steps, I_steps, dt, start, stop, states) -> Non
         add(x3, y3, out=y3)
         maximum(y3, floors, out=y3)
 
-    I_last = None
-    for i, (T, I) in enumerate(zip(temperatures, lights)):
-        kR, thkR = terms[T]
-        if I != I_last:
-            lu[0] = I
-            I_last = I
-        rates(*x_rows, k1)
-        project(half, k1)
-        rates(*y_rows, k2)
-        project(half, k2)
-        rates(*y_rows, k3)
-        project(dt, k3)
-        rates(*y_rows, k4)
-        # x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        mul(k2, 2.0, out=k2)
-        add(k1, k2, out=k1)
-        mul(k3, 2.0, out=k3)
-        add(k1, k3, out=k1)
-        add(k1, k4, out=k1)
-        mul(k1, sixth, out=k1)
-        add(x3, k1, out=x3)
-        maximum(x3, floors, out=x3)
-        if history is not None:
-            history[i] = x3
-    B[:], C[:], N[:] = x3
+    def advance(u, start, stop):
+        """RK4-step every lane in place from step `start` to `stop` under the dose `u`."""
+        lu[1] = u
+        I_last = None
+        for i, T, I in zip(range(start + 1, stop + 1), temperatures[start:stop], lights[start:stop]):
+            kR, thkR = terms[T]
+            if I != I_last:
+                lu[0] = I
+                I_last = I
+            rates(kR, thkR, *x_rows, k1)
+            project(half, k1)
+            rates(kR, thkR, *y_rows, k2)
+            project(half, k2)
+            rates(kR, thkR, *y_rows, k3)
+            project(dt, k3)
+            rates(kR, thkR, *y_rows, k4)
+            # x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            mul(k2, 2.0, out=k2)
+            add(k1, k2, out=k1)
+            mul(k3, 2.0, out=k3)
+            add(k1, k3, out=k1)
+            add(k1, k4, out=k1)
+            mul(k1, sixth, out=k1)
+            add(x3, k1, out=x3)
+            maximum(x3, floors, out=x3)
+            if history is not None:
+                history[i] = x3
+
+    return x3, advance
 
 
 _TRAJECTORY_HEADER = "plant_id,t,b,c,n,y,u\r\n"

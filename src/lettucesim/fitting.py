@@ -70,6 +70,8 @@ class BiomassTimeseries:
             raise ValueError(f"{len(times)} times but {len(masses)} masses")
         if len(times) < 3:
             raise ValueError(f"need at least 3 observations, got {len(times)}")
+        if not all(map(math.isfinite, times + masses)):
+            raise ValueError("observation times and masses must be finite")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("observation times must be strictly ascending")
         if any(t < 0.0 for t in times):
@@ -389,6 +391,10 @@ def generate_synthetic(
     """
     if n_series < 1:
         raise ValueError("n_series must be positive")
+    if not 0.0 < t_span < math.inf:
+        raise ValueError(f"t_span must be positive and finite, got {t_span!r}")
+    if not 0.0 <= noise_frac < math.inf:
+        raise ValueError(f"noise_frac must be nonnegative and finite, got {noise_frac!r}")
     if spacing not in ("even", "random"):
         raise ValueError(f"spacing must be 'even' or 'random', got {spacing!r}")
     dataset = []

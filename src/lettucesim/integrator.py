@@ -101,7 +101,7 @@ def sample_steps(t0: float, t1: float, dt: float, **signals: PiecewiseConstantSi
 
     Every integration path gets its grid here, so all of them accept and
     reject the same inputs. `t0`, `t1` and `dt` must be finite; `dt` must
-    be positive and divide t1 - t0; every breakpoint inside (t0, t1) must
+    be positive, divide t1 - t0 and leave a finite step count; every breakpoint inside (t0, t1) must
     lie on the grid, so switching times are exact; and each signal must
     be defined at t0. Errors name the signal by its keyword. Returns
     ``(steps, values)``, where ``values`` holds one array per signal, in
@@ -114,7 +114,9 @@ def sample_steps(t0: float, t1: float, dt: float, **signals: PiecewiseConstantSi
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not -math.inf < t0 < t1 < math.inf:
         raise ValueError(f"t1={t1} must exceed t0={t0}, and both must be finite")
-    span = t1 - t0
+    span = float(t1) - float(t0)  # Python floats: an overflow below reads inf, with no numpy warning
+    if not span / float(dt) < math.inf:
+        raise ValueError(f"the interval of {span} days at dt={dt!r} has too many steps to count")
     steps = int(round(span / dt))
     if steps < 1 or abs(steps * dt - span) > GRID_TOL * max(1.0, abs(span)):
         raise ValueError(f"step dt={dt} does not divide the interval of {span} days")
@@ -178,8 +180,8 @@ def integrate(
     # per-operation overhead at this call density. With the flat history,
     # the stage loop costs 0.96-1.00x four written-out stages with a row
     # write per step (BENCH_19.json); a function call per step cost
-    # 1.7-2.1x. `field._advance` writes the same fluxes as row-block ops,
-    # and the lane tests hold it to this loop's bits.
+    # 1.7-2.1x. The lane kernel of `field._lanes` writes the same fluxes as
+    # row-block ops, and the lane tests hold it to this loop's bits.
     for u, R, I in zip(u_steps.tolist(), R_steps.tolist(), I_steps.tolist()):
         g, l, cc, cn, ac, an = _flux_core(
             b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n

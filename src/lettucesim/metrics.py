@@ -167,7 +167,7 @@ def dose_response_sweep(
     faster. Both give bit-identical `final_b` and raise the same
     ValueError for a `day` or an environment breakpoint off the dt grid,
     and one naming the first cell whose final biomass is not finite
-    (without numpy warnings). ``env=None`` means the default environment.
+    (without numpy warnings).
     """
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size == 0:
@@ -176,8 +176,6 @@ def dose_response_sweep(
         raise ValueError(f"dose grid must be finite, got {u_grid.tolist()}")
     if np.any(np.diff(u_grid) <= 0.0) or np.any(u_grid < 0.0):
         raise ValueError("dose grid must be ascending and nonnegative")
-    if env is None:
-        env = DEFAULT_ENV
 
     n_sets = len(param_sets)
     if n_sets * u_grid.size >= _BATCH_MIN_LANES:

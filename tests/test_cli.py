@@ -1,6 +1,7 @@
 """Config parsing and the command-line pipeline."""
 
 import concurrent.futures
+import csv
 import filecmp
 import json
 import os
@@ -265,6 +266,22 @@ class TestFitCommands:
         text = capsys.readouterr().out
         assert "median NRMSE" in text
 
+    @pytest.mark.parametrize("column, bad", [("day", "nan"), ("day", "inf"), ("mass_g", "nan"), ("mass_g", "-inf")])
+    def test_non_finite_observation_is_a_config_error(self, column, bad, tmp_path, capsys):
+        data = write_dataset(tmp_path / "obs.csv", 1)
+        with open(data, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1][column] = bad
+        with open(data, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--free", "sigma_c", "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot load dataset {data}: observation times and masses must be finite\n"
+        assert not (tmp_path / "o").exists()
+
     def test_threads_do_not_change_results(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
         main(["generate-data", "--out", str(data), "--count", "3", "--seed", "5",
@@ -429,6 +446,17 @@ class TestGenerateDataFlags:
         assert "usage:" in err and flag in err
         assert not (tmp_path / "obs.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--noise-frac", "-0.5", "nonnegative"), ("--noise-frac", "nan", "nonnegative"),
+        ("--noise-frac", "inf", "nonnegative"), ("--span", "nan", "positive"), ("--span", "0", "positive"),
+        ("--span", "-5", "positive"), ("--span", "inf", "positive"),
+    ])
+    def test_noise_and_span_must_be_finite_and_in_range(self, flag, value, rule, tmp_path, capsys):
+        assert main(["generate-data", "--out", str(tmp_path / "obs.csv"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {flag}: must be {rule} and finite, got {value}" in err
+        assert not (tmp_path / "obs.csv").exists()
+
     @pytest.mark.parametrize("value, counts", [("4", {4}), ("3:5", {3, 4, 5}), ("6:6", {6})])
     def test_observation_counts(self, value, counts, tmp_path):
         out = tmp_path / "obs.csv"
@@ -589,6 +617,15 @@ class TestNonFiniteStep:
         else:
             assert lines == [f"error: ValueError: t1={value} must exceed t0=0.0, and both must be finite"]
         assert "Warning" not in result.stderr
+
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_step_count_overflow_is_a_config_error(self, command, tmp_path, capsys):
+        capsys.readouterr()
+        argv = [command, "--config", "builtin:uncontrolled", "--set", "field.dt=1e-320", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: dt=1e-320 is too small for season_days=50.0")
+        assert not (tmp_path / "o").exists()
 
 
 class TestExtremeParameters:

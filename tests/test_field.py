@@ -119,22 +119,42 @@ class TestSimulateField:
             assert np.array_equal(traj.states[i], single.states)
             assert np.array_equal(traj.outputs[i], single.outputs)
 
-    def test_advance_without_history_keeps_final_state(self):
-        """`states=None` skips the per-step writes but leaves the same final B, C, N."""
-        from lettucesim.field import _advance, _param_columns
+    LANE_PARAMS = np.array([ls.sample_params(P, 0.1, 3, i).as_array() for i in range(5)])
+    LANE_S0 = ls.PlantState(b=0.005, c=0.001, n=0.0001)
+    LANE_T = np.repeat([22.0, 15.0], 40)
+    LANE_I = np.repeat([530.0, 200.0, 600.0], [30, 30, 20])
 
-        params = [ls.sample_params(P, 0.1, 3, i) for i in range(5)]
-        cols = _param_columns(np.array([p.as_array() for p in params]))
+    def test_advance_without_history_keeps_final_state(self):
+        """`states=None` skips the per-step writes but leaves the same final b, c, n."""
+        from lettucesim.field import _lanes
+
         u = np.linspace(0.0, 0.15, 5)
-        T = np.repeat([22.0, 15.0], 40)
-        I = np.repeat([530.0, 200.0, 600.0], [30, 30, 20])
+        states = np.empty((5, 81, 3))
         finals = []
-        for states in (np.empty((5, 81, 3)), None):
-            B, C, N = np.full(5, 0.005), np.full(5, 0.001), np.full(5, 0.0001)
-            _advance(B, C, N, u, cols, T, I, 0.02, 0, 80, states)
-            finals.append((B, C, N))
-        for recorded, bare in zip(*finals):
-            assert np.array_equal(recorded, bare)
+        for history in (states, None):
+            x, advance = _lanes(self.LANE_PARAMS, self.LANE_S0, self.LANE_T, self.LANE_I, 0.02, history)
+            advance(u, 0, 80)
+            finals.append(x.copy())
+        assert np.array_equal(finals[0], finals[1])
+        assert np.array_equal(states[:, -1], finals[0].T)
+        assert np.array_equal(states[:, 0], np.tile([0.005, 0.001, 0.0001], (5, 1)))
+
+    @pytest.mark.parametrize("cuts", [(0, 80), (0, 0, 80), (0, 1, 30, 31, 79, 80), (0, 25, 40, 55, 80, 80)])
+    def test_advance_in_chunks_equals_one_call(self, cuts):
+        """Epochs advance the season in chunks; any cut gives one call's history and final state."""
+        from lettucesim.field import _lanes
+
+        u = np.linspace(0.0, 0.15, 5)
+        runs = []
+        for bounds in ((0, 80), cuts):
+            states = np.empty((5, 81, 3))
+            x, advance = _lanes(self.LANE_PARAMS, self.LANE_S0, self.LANE_T, self.LANE_I, 0.02, states)
+            for start, stop in zip(bounds, bounds[1:]):
+                advance(u, start, stop)
+            runs.append((x.copy(), states))
+        (whole, whole_states), (chunked, chunked_states) = runs
+        assert np.array_equal(whole, chunked)
+        assert np.array_equal(whole_states, chunked_states)
 
     def test_integrate_lanes_matches_scalar_final_state(self):
         from lettucesim.field import integrate_lanes
@@ -198,6 +218,12 @@ class TestSimulateField:
         cfg = ls.FieldConfig(n_plants=4, grid_rows=2, grid_cols=2, seed=5, season_days=4.0, dt=0.02)
         traj = ls.simulate_field(cfg, CONSTANT, ActuationSchedule(1.0, first_application_day=2.0))
         assert traj.total_nitrogen() == pytest.approx(4 * 0.075 * 4.0, rel=1e-12)
+
+    def test_policy_baseline_dose_must_be_the_field_one(self):
+        """One baseline dose per run: the policy's `u_bar` may not differ from the field's."""
+        policy = ControlPolicy("constant", SaturationSpec(0.08, 0.0075))
+        with pytest.raises(ls.ConfigError, match=r"policy.saturation.u_bar=0.08 .* field.u_bar=0.075"):
+            ls.simulate_field(small_config(), policy, DAILY)
 
     def test_interval_shorter_than_dt_rejected(self):
         cfg = small_config(dt=0.5)
@@ -388,6 +414,11 @@ class TestFieldConfigValidation:
     def test_non_finite_step_season_or_dose(self, key, bad):
         with pytest.raises(ls.ConfigError, match=rf"^{key} must be \w+ and finite, got {bad}$"):
             ls.FieldConfig(**{key: bad})
+
+    @pytest.mark.parametrize("dt", [1e-320, 5e-324])
+    def test_step_count_overflow(self, dt):
+        with pytest.raises(ls.ConfigError, match=rf"^dt={dt!r} is too small for season_days=50.0"):
+            ls.FieldConfig(dt=dt)
 
     def test_params_override_length(self):
         cfg = small_config()

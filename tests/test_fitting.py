@@ -179,6 +179,15 @@ class TestGenerateSynthetic:
         b = ls.generate_synthetic(2, P, 0.05, seed=7, n_obs=5, noise_frac=0.1, dt=0.05)
         assert a == b
 
+    @pytest.mark.parametrize("kw", [
+        {"t_span": 0.0}, {"t_span": -5.0}, {"t_span": float("nan")}, {"t_span": float("inf")},
+        {"noise_frac": -0.5}, {"noise_frac": float("nan")}, {"noise_frac": float("inf")},
+    ])
+    def test_bad_span_or_noise_rejected(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=rf"^{name} must be \w+ and finite"):
+            ls.generate_synthetic(1, P, 0.0, seed=8, n_obs=4, dt=0.05, **kw)
+
     def test_fresh_kind(self):
         dry = ls.generate_synthetic(1, P, 0.0, seed=8, n_obs=4, dt=0.05)[0]
         fresh = ls.generate_synthetic(1, P, 0.0, seed=8, n_obs=4, dt=0.05, mass_kind="fresh")[0]
@@ -224,6 +233,17 @@ class TestTimeseriesValidation:
     def test_invalid(self, times, masses, kind):
         with pytest.raises(ValueError):
             ls.BiomassTimeseries(times, masses, mass_kind=kind)
+
+
+    @pytest.mark.parametrize("times,masses", [
+        ((1.0, float("nan"), 3.0), (1.0, 2.0, 3.0)),
+        ((1.0, 2.0, float("inf")), (1.0, 2.0, 3.0)),
+        ((1.0, 2.0, 3.0), (1.0, float("nan"), 3.0)),
+        ((1.0, 2.0, 3.0), (1.0, 2.0, float("inf"))),
+    ])
+    def test_non_finite_rejected(self, times, masses):
+        with pytest.raises(ValueError, match="must be finite"):
+            ls.BiomassTimeseries(times, masses)
 
 
 class TestWriteFitResults:

@@ -127,6 +127,15 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=message):
             ls.integrate(P, S0, u, ENV, t0, t1, dt)
 
+    @pytest.mark.parametrize("t0, t1, dt", [(0.0, 50.0, 1e-320), (0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0)])
+    def test_step_count_overflow_rejected(self, t0, t1, dt):
+        u = ls.PiecewiseConstantSignal.constant(0.075, t_start=-1e308)
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="too many steps to count"):
+                sample_steps(t0, t1, dt, input=u)
+            with pytest.raises(ValueError, match="too many steps to count"):
+                sample_steps(np.float64(t0), np.float64(t1), np.float64(dt))
+
     def test_negative_input_rejected(self):
         u = ls.PiecewiseConstantSignal.constant(-0.01)
         with pytest.raises(ValueError):

@@ -156,7 +156,7 @@ class TestDoseResponseSweep:
         dt = data.draw(st.sampled_from([0.01, 0.02, 0.05]), label="dt")
         steps = data.draw(st.integers(1, 30), label="steps")
         day = steps * dt
-        env = None
+        env = ls.EnvSchedule.constant(ls.DEFAULT_TEMPERATURE, ls.DEFAULT_LIGHT)
         if data.draw(st.booleans(), label="piecewise env"):
             switch_t = data.draw(st.integers(1, 40), label="temperature switch") * dt
             switch_i = data.draw(st.integers(1, 40), label="light switch") * dt
@@ -172,10 +172,9 @@ class TestDoseResponseSweep:
             table = ls.dose_response_sweep(sets, grid, day=day, env=env, dt=dt)
         assert scalar.call_count == (0 if batched else n_sets * n_doses)
 
-        run_env = env if env is not None else ls.EnvSchedule.constant(ls.DEFAULT_TEMPERATURE, ls.DEFAULT_LIGHT)
         expected = np.array([
             [ls.integrate(p, ls.DEFAULT_INITIAL_STATE, ls.PiecewiseConstantSignal.constant(float(u)),
-                          run_env, 0.0, day, dt).states[-1, 0] for u in grid]
+                          env, 0.0, day, dt).states[-1, 0] for u in grid]
             for p in sets
         ])
         assert np.array_equal(table.final_b, expected)
