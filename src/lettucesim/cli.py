@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config, parse_config, with_seed
 from .field import (
+    _check_perturbation_frac,
     export_ledger_csv,
     export_params_csv,
     export_trajectory_csv,
@@ -64,6 +65,19 @@ def _positive(kind, zero_ok=False):
     return parse
 
 
+def _perturbation_frac(text: str) -> float:
+    """`--perturbation-frac`: a float in [0, 0.5), the rule of a config's field.perturbation_frac."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        _check_perturbation_frac(value)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _observation_count(text: str):
     """`--n-obs`: a count N, or a range LO:HI each series draws its count from; 3 <= LO <= HI."""
     try:
@@ -102,9 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scenario and write trajectory + summary")
     add_common(p)
-    p.add_argument("--threads", type=_positive(int), default=1,
-                   help="format trajectory.csv in up to this many worker processes, capped at the "
-                        "plant count and the usable CPUs; outputs are byte-identical for any value")
+    p.add_argument("--threads", type=_positive(int), default=None,
+                   help="format trajectory.csv in up to this many worker processes, one plant per task "
+                        "(default: every usable CPU), capped at the plant count and the usable CPUs; "
+                        "1 formats in this process; outputs are byte-identical for any value")
 
     def add_sweep_grid(p):
         p.add_argument("--param-sets", type=_positive(int), default=10, help="perturbed parameter sets for the sweep")
@@ -142,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive(int), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-frac", type=_positive(float, zero_ok=True), default=0.0)
-    p.add_argument("--perturbation-frac", type=float, default=0.05)
+    p.add_argument("--perturbation-frac", type=_perturbation_frac, default=0.05)
     p.add_argument("--n-obs", type=_observation_count, default=(3, 12),
                    help="observations per series: N or LO:HI, with 3 <= LO <= HI (default 3:12)")
     p.add_argument("--span", type=_positive(float), default=50.0)
@@ -249,7 +264,8 @@ def cmd_simulate(args) -> int:
     traj = simulate_field(cfg.field, cfg.policy, cfg.schedule)
     summary = summarize(traj, threshold=cfg.threshold_g, name=cfg.name)
     out = _out_dir(args, cfg)
-    workers = min(args.threads, cfg.field.n_plants, _usable_cpus())
+    cpus = _usable_cpus()
+    workers = min(args.threads or cpus, cfg.field.n_plants, cpus)
     export_trajectory_csv(traj, out / "trajectory.csv", workers=workers)
     export_ledger_csv(traj, out / "ledger.csv")
     export_params_csv(traj, out / "params.csv")

@@ -31,8 +31,8 @@ holds the one format: csv's default dialect, each float as its `repr`.
 The one exception is `export_trajectory_csv`, the hot path, which builds
 the same bytes by hand and formats each value with `repr` once: each
 time once, each dose once per (epoch, plant), and b, c, n and y once per
-step. Blocks of plants can be formatted in worker processes; the bytes
-do not depend on the split.
+step. Each plant is one formatting task, run in turn or in a pool of
+worker processes; the bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -86,8 +87,7 @@ class FieldConfig:
             raise ConfigError(
                 f"grid {self.grid_rows}x{self.grid_cols} does not hold {self.n_plants} plants"
             )
-        if not 0.0 <= self.perturbation_frac < 0.5:
-            raise ConfigError(f"perturbation_frac must lie in [0, 0.5), got {self.perturbation_frac}")
+        _check_perturbation_frac(self.perturbation_frac)
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.season_days < math.inf:
@@ -100,6 +100,12 @@ class FieldConfig:
             raise ConfigError(f"u_bar must be nonnegative and finite, got {self.u_bar}")
         if not 0.0 <= self.rejection_percentile <= 100.0:
             raise ConfigError(f"rejection_percentile must lie in [0, 100], got {self.rejection_percentile}")
+
+
+def _check_perturbation_frac(frac) -> None:
+    """Raise a ConfigError unless `frac` lies in [0, 0.5), the range of a field's perturbation_frac (no NaN)."""
+    if not 0.0 <= frac < 0.5:
+        raise ConfigError(f"perturbation_frac must lie in [0, 0.5), got {frac}")
 
 
 def sample_params(nominal: PlantParams, frac: float, seed: int, plant_index: int) -> PlantParams:
@@ -446,38 +452,25 @@ def _lanes(pmat, s0: PlantState, T_steps, I_steps, dt, states=None) -> tuple:
     return x3, advance
 
 
-_TRAJECTORY_HEADER = "plant_id,t,b,c,n,y,u\r\n"
-
-# With worker processes, the plants go out in this many contiguous blocks
-# per worker, so the parent writes early blocks while later ones are
-# formatted, and holds only a few blocks of text at a time.
-_BLOCKS_PER_WORKER = 4
+_TRAJECTORY_HEADER = b"plant_id,t,b,c,n,y,u\r\n"
 
 
-def _plant_rows(first_plant, t_text, epochs, baseline, states, outputs, applied_u):
-    """Yield the trajectory.csv rows of a block of plants, one string per plant.
+def _plant_rows(t_text, epochs, baseline, plant, state, y, doses) -> bytes:
+    """One plant's trajectory.csv rows, as bytes.
 
-    The block is plants ``first_plant ..`` with their slices `states`,
-    `outputs` and `applied_u` (epochs x plants). `t_text` holds each
-    time's repr and `epochs` each step's epoch, -1 meaning the `baseline`
-    dose text. Rows are what `write_table` writes for these cells: csv's
-    default dialect ends rows with "\\r\\n", and no repr'd float needs
-    quoting.
+    `state` (times x 3), `y` and `doses` (one per epoch) are the plant's
+    slices of the trajectory. `t_text` holds each time's repr and
+    `epochs` each step's epoch, -1 meaning the `baseline` dose text.
+    Rows are what `write_table` writes for these cells: csv's default
+    dialect ends rows with "\\r\\n", and no repr'd float needs quoting.
     """
-    for k, (state, y) in enumerate(zip(states, outputs)):
-        plant = first_plant + k
-        # epoch -1 (before a late first application) takes the baseline at the end
-        doses = [*map(repr, applied_u[:, k].tolist()), baseline]
-        b, c, n = state.T.tolist()
-        yield "".join(
-            f"{plant},{t},{b_t!r},{c_t!r},{n_t!r},{y_t!r},{doses[e]}\r\n"
-            for t, b_t, c_t, n_t, y_t, e in zip(t_text, b, c, n, y.tolist(), epochs)
-        )
-
-
-def _block_text(block: tuple) -> str:
-    """One block's rows as one string, formatted in a worker process."""
-    return "".join(_plant_rows(*block))
+    # epoch -1 (before a late first application) takes the baseline at the end
+    doses = [*map(repr, doses.tolist()), baseline]
+    b, c, n = state.T.tolist()
+    return "".join(
+        f"{plant},{t},{b_t!r},{c_t!r},{n_t!r},{y_t!r},{doses[e]}\r\n"
+        for t, b_t, c_t, n_t, y_t, e in zip(t_text, b, c, n, y.tolist(), epochs)
+    ).encode()
 
 
 def export_trajectory_csv(traj: FieldTrajectory, path, workers: int = 1) -> None:
@@ -485,30 +478,28 @@ def export_trajectory_csv(traj: FieldTrajectory, path, workers: int = 1) -> None
 
     The bytes are those `write_table` would write for the same rows,
     built by hand because this table holds ~2 M values per builtin.
-    One process writes the rows one plant at a time. With `workers` > 1,
-    a process pool formats contiguous blocks of plants, each sent only
-    its own slices of the trajectory, and the blocks are written in plant
-    order. The bytes never depend on `workers`.
+    Each plant's rows are one task of `_plant_rows`, sent only that
+    plant's slices plus the shared time, epoch and baseline text. One
+    process runs the tasks in turn; with `workers` > 1 a process pool
+    runs them, and the parent writes each plant's rows in plant order as
+    they arrive. The bytes never depend on `workers`.
     """
-    n = traj.n_plants
-    t_text = [repr(t) for t in traj.times.tolist()]
-    epochs = _epoch_index(traj.application_times, traj.times).tolist()
-    baseline = repr(float(traj.config.u_bar))
-
-    def block(lo, hi):
-        return (lo, t_text, epochs, baseline, traj.states[lo:hi], traj.outputs[lo:hi], traj.applied_u[:, lo:hi])
-
-    with open(path, "w", newline="") as fh:
+    rows = partial(
+        _plant_rows,
+        [repr(t) for t in traj.times.tolist()],
+        _epoch_index(traj.application_times, traj.times).tolist(),
+        repr(float(traj.config.u_bar)),
+    )
+    plants = (range(traj.n_plants), traj.states, traj.outputs, traj.applied_u.T)
+    with open(path, "wb") as fh:
         fh.write(_TRAJECTORY_HEADER)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # here, so one process never imports it
 
-            count = min(n, _BLOCKS_PER_WORKER * workers)
-            edges = [n * j // count for j in range(count + 1)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                fh.writelines(pool.map(_block_text, [block(lo, hi) for lo, hi in zip(edges, edges[1:])]))
+                fh.writelines(pool.map(rows, *plants))
         else:
-            fh.writelines(_plant_rows(*block(0, n)))
+            fh.writelines(map(rows, *plants))
 
 
 def write_table(path, header, rows) -> None:

@@ -26,7 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import _FLOORS, DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, sample_params, write_table
+from .field import (
+    _FLOORS, DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, _check_perturbation_frac, sample_params, write_table,
+)
 from .integrator import _RK4_STAGES, EnvSchedule, PiecewiseConstantSignal, integrate, sample_steps
 from .model import (
     PARAM_NAMES,
@@ -138,10 +140,12 @@ class FitSpec:
             g = getattr(self.guess, name)
             if not lo <= g <= hi:
                 raise ValueError(f"guess for {name} ({g}) is outside its bounds ({lo}, {hi})")
-        if self.u < 0.0:
-            raise ValueError(f"assumed nitrogen availability must be nonnegative, got {self.u}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 <= self.u < math.inf:
+            raise ValueError(f"u, the assumed nitrogen availability, must be nonnegative and finite, got {self.u}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     def free_names(self) -> tuple:
         return tuple(name for name in PARAM_NAMES if name not in self.fixed)
@@ -391,6 +395,7 @@ def generate_synthetic(
     """
     if n_series < 1:
         raise ValueError("n_series must be positive")
+    _check_perturbation_frac(perturb_frac)
     if not 0.0 < t_span < math.inf:
         raise ValueError(f"t_span must be positive and finite, got {t_span!r}")
     if not 0.0 <= noise_frac < math.inf:

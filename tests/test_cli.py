@@ -1,6 +1,5 @@
 """Config parsing and the command-line pipeline."""
 
-import concurrent.futures
 import csv
 import filecmp
 import json
@@ -48,50 +47,17 @@ def tiny_cfg(tmp_path):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def pool_sizes(in_process_pool):
     """Swap the process pool (fit's or simulate's) for an in-process stand-in; returns the sizes asked for."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return sizes
+    return in_process_pool.sizes
 
 
 @pytest.fixture
-def pool_inputs(monkeypatch):
+def pool_inputs(in_process_pool, monkeypatch):
     """Swap fit's process pool for an in-process stand-in; returns the plant ids in submission order."""
-    submitted = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, series):
-            series = list(series)
-            submitted.extend(s.plant_id for s in series)
-            return map(fn, series)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    in_process_pool.label = lambda series: series.plant_id
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    return submitted
+    return in_process_pool.inputs
 
 
 def write_dataset(path, count):
@@ -204,6 +170,19 @@ class TestSimulateThreads:
             assert filecmp.cmp(outs["1"] / name, outs["2"] / name, shallow=False), name
         assert stdouts["1"] == stdouts["2"]
 
+    @pytest.mark.parametrize("name", ["ideal", "sparse_local_noisy"])
+    def test_default_runs_a_real_pool_with_the_same_bytes(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a real pool even on a one-CPU machine
+        outs, stdouts = {}, {}
+        for key, flags in (("one", ["--threads", "1"]), ("default", [])):
+            outs[key] = tmp_path / key
+            assert main(["simulate", "--config", f"builtin:{name}", "--set", "field.season_days=3.0",
+                         "--out-dir", str(outs[key]), *flags]) == 0
+            stdouts[key] = capsys.readouterr().out.replace(str(outs[key]), "OUT")
+        for file in SIMULATE_FILES:
+            assert filecmp.cmp(outs["one"] / file, outs["default"] / file, shallow=False), file
+        assert stdouts["one"] == stdouts["default"]
+
     @pytest.mark.parametrize("threads, cpus, pools", [
         ("64", 8, [4]),  # capped at the 4 plants
         ("64", 2, [2]),  # capped at the CPUs
@@ -216,7 +195,9 @@ class TestSimulateThreads:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         one, many = tmp_path / "one", tmp_path / "many"
         assert main(["simulate", "--config", str(tiny_cfg), "--out-dir", str(one)]) == 0
-        assert pool_sizes == []
+        default = min(4, cpus)  # by default, a pool of min(plants, CPUs), and none for one worker
+        assert pool_sizes == ([default] if default > 1 else [])
+        pool_sizes.clear()
         assert main(["simulate", "--config", str(tiny_cfg), "--out-dir", str(many), "--threads", threads]) == 0
         assert pool_sizes == pools
         assert filecmp.cmp(one / "trajectory.csv", many / "trajectory.csv", shallow=False)
@@ -455,6 +436,14 @@ class TestGenerateDataFlags:
         assert main(["generate-data", "--out", str(tmp_path / "obs.csv"), flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {flag}: must be {rule} and finite, got {value}" in err
+        assert not (tmp_path / "obs.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "0.5", "0.6"])
+    def test_perturbation_frac_follows_the_field_rule(self, value, tmp_path, capsys):
+        assert main(["generate-data", "--out", str(tmp_path / "obs.csv"), "--perturbation-frac", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument --perturbation-frac: perturbation_frac must lie in [0, 0.5), got {float(value)}" in err
         assert not (tmp_path / "obs.csv").exists()
 
     @pytest.mark.parametrize("value, counts", [("4", {4}), ("3:5", {3, 4, 5}), ("6:6", {6})])

@@ -1,6 +1,5 @@
 """Field assembly: parameter sampling, topology, epoch marching, ledger."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import filecmp
@@ -441,33 +440,13 @@ def reference_export_trajectory_csv(traj, path):
                 )
 
 
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """Swap the exporter's process pool for a stand-in whose `map` runs here, in order."""
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-
-
 def simulate_builtin(name, *overrides):
     cfg = load_config(f"builtin:{name}", list(overrides))
     return ls.simulate_field(cfg.field, cfg.policy, cfg.schedule)
 
 
 class TestTrajectoryExport:
-    """The streaming writer gives the old writer's bytes, in one process or in blocks."""
+    """The streaming writer gives the old writer's bytes, in one process or one plant per pool task."""
 
     def assert_same_bytes(self, traj, tmp_path, workers=1):
         expected, got = tmp_path / "expected.csv", tmp_path / "got.csv"
@@ -488,7 +467,7 @@ class TestTrajectoryExport:
         assert traj.application_times[0] == 2.5
         self.assert_same_bytes(traj, tmp_path)
 
-    @pytest.mark.parametrize("workers", [2, 3, 50])  # 8 blocks of 1-2 plants, then 9 of one plant
+    @pytest.mark.parametrize("workers", [2, 3, 50])  # 9 plants, 9 tasks, whatever the pool size
     def test_blocks_in_a_pool_give_the_same_bytes(self, workers, tmp_path, in_process_pool):
         traj = ls.simulate_field(small_config(), LOCAL, ActuationSchedule(1.0, first_application_day=1.5))
         self.assert_same_bytes(traj, tmp_path, workers)

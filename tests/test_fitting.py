@@ -159,6 +159,14 @@ class TestFit:
         with pytest.raises(ValueError):
             ls.FitSpec(guess=P, bounds={n: (1e3, 1e4) for n in ls.PARAM_NAMES})
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", float("nan")), ("dt", float("inf")), ("dt", 0.0), ("dt", -0.02),
+        ("u", float("nan")), ("u", float("inf")), ("u", -0.01), ("max_iterations", 0), ("max_iterations", -3),
+    ])
+    def test_spec_values_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field}\b.* must be .*, got {value}$"):
+            ls.FitSpec(guess=P, **{field: value})
+
 
 class TestGenerateSynthetic:
     def test_noise_free_on_trajectory(self):
@@ -187,6 +195,11 @@ class TestGenerateSynthetic:
         name = next(iter(kw))
         with pytest.raises(ValueError, match=rf"^{name} must be \w+ and finite"):
             ls.generate_synthetic(1, P, 0.0, seed=8, n_obs=4, dt=0.05, **kw)
+
+    @pytest.mark.parametrize("frac", [float("nan"), float("inf"), -0.1, 0.5, 0.6])
+    def test_perturbation_frac_outside_the_field_range_rejected(self, frac):
+        with pytest.raises(ValueError, match=rf"^perturbation_frac must lie in \[0, 0\.5\), got {frac}$"):
+            ls.generate_synthetic(1, P, frac, seed=8, n_obs=4, dt=0.05)
 
     def test_fresh_kind(self):
         dry = ls.generate_synthetic(1, P, 0.0, seed=8, n_obs=4, dt=0.05)[0]
