@@ -13,13 +13,13 @@ same-shape row blocks of one preallocated workspace: the terms of
 their operand order, and `integrate`'s projection as elementwise maxima.
 So a field run reproduces the per-plant `integrate` results bit for bit
 and is independent of any worker-thread count. That also rests on one
-step grid: the field takes its step count and its temperature and light
-per step from `integrator.sample_steps`, as `integrate` does, so an
-environment breakpoint off the dt grid raises the same ValueError, and
-every application time must lie on the grid too (a ConfigError
-otherwise). `integrate` and the fit's tangent replay loop over
-`integrator._RK4_STAGES`; the lane kernel keeps its fused stage
-sequence, because a loop there adds Python work on every batched step.
+step grid: the field takes its times, each step's temperature and light
+and each application's step from one `integrator.StepGrid`, as
+`integrate` does; an environment breakpoint off that grid raises the
+same ValueError, an application time off it a ConfigError. `integrate`
+and the fit's tangent replay loop over `integrator._RK4_STAGES`; the
+lane kernel keeps its fused stage sequence, because a loop there adds
+Python work on every batched step.
 
 The same batched RK4 kernel serves any set of independent lanes:
 `integrate_lanes` runs lanes that each hold their own parameters and a
@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
-from .integrator import GRID_TOL, EnvSchedule, sample_steps
+from .integrator import GRID_TOL, MAX_STEPS, EnvSchedule, StepGrid
 from .model import B_EPS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
 
 # Light level calibrated so the nominal uncontrolled field reaches a
@@ -94,8 +94,8 @@ class FieldConfig:
             raise ConfigError(f"season_days must be positive and finite, got {self.season_days}")
         if not 0.0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if not self.season_days / self.dt < math.inf:
-            raise ConfigError(f"dt={self.dt} is too small for season_days={self.season_days}: the step count overflows")
+        if not self.season_days / self.dt <= MAX_STEPS:
+            raise ConfigError(f"dt={self.dt} is too small for season_days={self.season_days}: over {MAX_STEPS} steps")
         if not 0.0 <= self.u_bar < math.inf:
             raise ConfigError(f"u_bar must be nonnegative and finite, got {self.u_bar}")
         if not 0.0 <= self.rejection_percentile <= 100.0:
@@ -217,29 +217,6 @@ def _epoch_index(application_times, times) -> np.ndarray:
     return np.searchsorted(application_times, times, side="right") - 1
 
 
-def _validate_schedule(cfg: FieldConfig, schedule: ActuationSchedule) -> tuple:
-    """Application times in the season and the step index of each.
-
-    A time t is on the grid when dt divides [0, t], the test
-    `sample_steps` applies to any span.
-    """
-    if schedule.interval_days < cfg.dt - GRID_TOL:
-        raise ConfigError(
-            f"application interval {schedule.interval_days} is shorter than dt={cfg.dt}"
-        )
-    app_times = schedule.times_within(cfg.season_days)
-    app_steps = []
-    for t in app_times:
-        try:
-            app_steps.append(sample_steps(0.0, t, cfg.dt)[0] if t > 0.0 else 0)
-        except ValueError:
-            raise ConfigError(
-                f"application time t={t} is off the dt={cfg.dt} step grid; "
-                "choose an interval that is a multiple of dt"
-            ) from None
-    return app_times, app_steps
-
-
 def simulate_field(
     cfg: FieldConfig,
     policy: ControlPolicy,
@@ -261,7 +238,14 @@ def simulate_field(
     if policy.saturation.u_bar != cfg.u_bar:
         raise ConfigError(f"policy.saturation.u_bar={policy.saturation.u_bar!r} differs from field.u_bar="
                           f"{cfg.u_bar!r}; a field run holds one baseline dose")
-    app_times, app_steps = _validate_schedule(cfg, schedule)
+    grid = StepGrid(0.0, cfg.season_days, cfg.dt)
+    if schedule.interval_days < cfg.dt - GRID_TOL:  # before `times_within` lists a tiny interval's times
+        raise ConfigError(f"application interval {schedule.interval_days} is shorter than dt={cfg.dt}")
+    app_times = schedule.times_within(cfg.season_days)
+    try:
+        app_steps = [grid.index(t) for t in app_times]
+    except ValueError as exc:
+        raise ConfigError(f"application time {exc}; choose an interval that is a multiple of dt") from None
     n = cfg.n_plants
     if plant_params is None:
         params = tuple(
@@ -273,16 +257,12 @@ def simulate_field(
             raise ConfigError(f"plant_params has {len(params)} entries for {n} plants")
     psi = np.array([p.psi for p in params])
 
-    total_steps, (T_steps, I_steps) = sample_steps(
-        0.0, cfg.season_days, cfg.dt, temperature=cfg.env.temperature, light=cfg.env.light
-    )
-    times = cfg.dt * np.arange(total_steps + 1)
-    states = np.empty((n, total_steps + 1, 3))
-    x, advance = _lanes(np.array([p.as_array() for p in params]), cfg.s0, T_steps, I_steps, cfg.dt, states)
+    states = np.empty((n, grid.steps + 1, 3))
+    x, advance = _lanes(np.array([p.as_array() for p in params]), cfg.s0, grid, cfg.env, states)
 
     # epoch -1 holds the baseline dose `u_bar` until the first application
     # (for no steps when that is at day zero), epoch e the policy's e-th dose
-    bounds = [0, *app_steps, total_steps]
+    bounds = [0, *app_steps, grid.steps]
     hold_days = np.diff([*app_times, cfg.season_days])
     applied_u = np.empty((len(app_times), n))
     topology = grid_topology(cfg.grid_rows, cfg.grid_cols) if policy.variant == "local" else None
@@ -293,12 +273,12 @@ def simulate_field(
             seen = observe(psi * x[0], policy.noise_frac, cfg.seed, epoch)
             u = applied_u[epoch] = apply_policy(policy, seen, topology)
         advance(u, start, stop)
-        _check_finite(x, times[stop])
+        _check_finite(x, grid.times[stop])
 
     outputs = psi[:, None] * states[:, :, 0]
     return FieldTrajectory(
         config=cfg,
-        times=times,
+        times=grid.times,
         states=states,
         outputs=outputs,
         application_times=np.asarray(app_times, dtype=float),
@@ -331,9 +311,9 @@ def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: fl
     a bad `dt`, a `t1` off the step grid or an environment breakpoint
     off it raises the same ValueError. No per-step history is kept.
     """
-    steps, (T_steps, I_steps) = sample_steps(0.0, t1, dt, temperature=env.temperature, light=env.light)
-    x, advance = _lanes(pmat, s0, T_steps, I_steps, dt)
-    advance(u, 0, steps)
+    grid = StepGrid(0.0, t1, dt)
+    x, advance = _lanes(pmat, s0, grid, env)
+    advance(u, 0, grid.steps)
     return tuple(x.copy())  # a copy, so the caller does not keep the workspace alive
 
 
@@ -341,13 +321,14 @@ def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: fl
 _FLOORS = np.array([[B_EPS], [0.0], [0.0]])
 
 
-def _lanes(pmat, s0: PlantState, T_steps, I_steps, dt, states=None) -> tuple:
-    """The lane RK4 kernel of one run: ``(x, advance)``.
+def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) -> tuple:
+    """The lane RK4 kernel of one run on the step grid `grid`: ``(x, advance)``.
 
     Lane i has the parameters ``pmat[i]`` (a `PlantParams.as_array()`
-    row) and starts at `s0`; `T_steps` and `I_steps` hold each step's
-    temperature and light. The lane constants, the temperature terms and
-    one workspace are built here, once. `x` is the live (3, lanes) view
+    row) and starts at `s0`; each step's temperature and light are
+    `env`'s, sampled on `grid` (an off-grid breakpoint raises its
+    ValueError). The lane constants, the temperature terms and one
+    workspace are built here, once. `x` is the live (3, lanes) view
     of b, c and n; ``advance(u, start, stop)`` RK4-steps every lane in
     place from step `start` to `stop` under the dose `u`, writing step
     i's state to ``states[:, i]`` (`s0` to ``states[:, 0]``) unless
@@ -359,6 +340,7 @@ def _lanes(pmat, s0: PlantState, T_steps, I_steps, dt, states=None) -> tuple:
     # the columns of `PlantParams.as_array()` rows, in `PARAM_NAMES` order
     k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, T_op, theta_c, theta_n = np.asarray(pmat, dtype=float).T
     lanes = len(k)
+    dt = grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
     mul, div, add, sub, maximum = np.multiply, np.divide, np.add, np.subtract, np.maximum
@@ -369,8 +351,7 @@ def _lanes(pmat, s0: PlantState, T_steps, I_steps, dt, states=None) -> tuple:
     vv = np.array([v, v])
     floors = np.repeat(_FLOORS, lanes, axis=1)
     theta_k = np.array([theta_c * k, theta_n * k])
-    temperatures = T_steps.tolist()
-    lights = I_steps.tolist()
+    temperatures, lights = (values.tolist() for values in grid.sample(temperature=env.temperature, light=env.light))
     terms = {}
     for T in set(temperatures):
         R = np.maximum(0.0, (T_op - np.abs(T_op - T)) / T_op)  # `temperature_response` per lane

@@ -29,7 +29,7 @@ import numpy as np
 from .field import (
     _FLOORS, DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, _check_perturbation_frac, sample_params, write_table,
 )
-from .integrator import _RK4_STAGES, EnvSchedule, PiecewiseConstantSignal, integrate, sample_steps
+from .integrator import _RK4_STAGES, EnvSchedule, PiecewiseConstantSignal, StepGrid, integrate
 from .model import (
     PARAM_NAMES,
     PlantParams,
@@ -163,16 +163,15 @@ class FitResult:
 
 
 def _trajectory(p: PlantParams, spec: FitSpec, times) -> tuple:
-    """The run to the last observation time, and the step index of each observation (nearest grid point)."""
-    steps = max(1, int(math.ceil(times[-1] / spec.dt - 1e-9)))
-    u = PiecewiseConstantSignal.constant(spec.u)
-    traj = integrate(p, spec.s0, u, spec.env, 0.0, steps * spec.dt, spec.dt)
-    return traj, np.clip(np.rint(np.asarray(times) / spec.dt).astype(int), 0, steps)
+    """The run to the last observation time, its step grid, and each observation's step (nearest grid point)."""
+    grid = StepGrid(0.0, max(1, math.ceil(times[-1] / spec.dt - 1e-9)) * spec.dt, spec.dt)
+    traj = integrate(p, spec.s0, PiecewiseConstantSignal.constant(spec.u), spec.env, grid.t0, grid.t1, grid.dt)
+    return traj, grid, np.clip(np.rint(np.asarray(times) / spec.dt).astype(int), 0, grid.steps)
 
 
 def _simulated_outputs(p: PlantParams, spec: FitSpec, times) -> np.ndarray:
     """Model shoot biomass at each observation time (nearest step-grid sample)."""
-    traj, idx = _trajectory(p, spec, times)
+    traj, _, idx = _trajectory(p, spec, times)
     return traj.outputs[idx]
 
 
@@ -237,18 +236,14 @@ def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tu
     component's sensitivity. Each step's tangent is an affine map of s,
     which `_chain` composes up to the observation steps.
     """
-    traj, idx = _trajectory(p, spec, times)
+    traj, grid, idx = _trajectory(p, spec, times)
     steps = int(idx.max())  # the steps after the last observation change nothing
-    dt = spec.dt
     temperature = spec.env.temperature
     R_signal, scale_signal = (
         PiecewiseConstantSignal(temperature.breakpoints, tuple(fn(T, p.T_op) for T in temperature.values))
         for fn in (temperature_response, _T_op_scale)
     )
-    _, (R, T_op_scale, I) = sample_steps(
-        0.0, (len(traj.times) - 1) * dt, dt, temperature=R_signal, T_op=scale_signal, light=spec.env.light
-    )
-    R, T_op_scale, I = R[:steps], T_op_scale[:steps], I[:steps]
+    R, T_op_scale, I = (v[:steps] for v in grid.sample(temperature=R_signal, T_op=scale_signal, light=spec.env.light))
     params = _param_values(p)
     scaled = [i for i, name in enumerate(free) if name == "T_op"]
     # An affine map of (s, 1) is [A | B], one (3, 3 + free, steps) array
@@ -272,9 +267,9 @@ def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tu
     x = traj.states[:steps].T
     k, K = total, TOTAL = stage(x, start)
     for h, w in _RK4_STAGES:
-        k, K = stage(*project(x + h * dt * k, start + h * dt * K))
+        k, K = stage(*project(x + h * grid.dt * k, start + h * grid.dt * K))
         total, TOTAL = total + w * k, TOTAL + w * K
-    sixth = dt / 6.0
+    sixth = grid.dt / 6.0
     _, step_map = project(x + sixth * total, start + sixth * TOTAL)
     S = _chain(np.moveaxis(step_map, 2, 0), idx)
 

@@ -4,24 +4,27 @@ Classical fourth-order Runge-Kutta with a fixed step keeps runs
 bit-reproducible across platforms; the dynamics are smooth and
 non-stiff at nominal parameter values, so no adaptive stepping is
 needed. Every breakpoint of the dose, temperature and light must land
-on the step grid so control switching times are exact. `sample_steps`
-is the one place that checks the grid and samples the signals on it;
-`integrate`, `field.integrate_lanes` and `field.simulate_field` all
-call it, so an off-grid input raises the same ValueError on each path.
+on the step grid so control switching times are exact. `StepGrid` is
+the one place that maps times to steps: `integrate`, the fit's tangent
+replay, `field.integrate_lanes` and `field.simulate_field` each build
+one, so an off-grid input raises the same ValueError on each path.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import B_EPS, EnvPoint, PlantParams, PlantState, _flux_core, _param_values, temperature_response
 
-# Maximum misalignment (days) tolerated when snapping times to the step grid.
+# Maximum misalignment (days, relative beyond a day) tolerated when snapping times to the step grid.
 GRID_TOL = 1e-9
+
+# Most steps a grid may hold, so a tiny dt is an error, not a request to numpy for gigabytes.
+MAX_STEPS = 10**7
 
 # RK4's stages after k1 (classical tableau): (fraction of dt, weight in k1 + 2 k2 + 2 k3 + k4).
 _RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
@@ -32,7 +35,7 @@ class PiecewiseConstantSignal:
     """Right-continuous step signal: values[i] holds on [breakpoints[i], breakpoints[i+1]).
 
     The last value extends to +infinity. Evaluation before the first
-    breakpoint is an error, and so is a value that is not finite: a NaN
+    breakpoint is an error. Breakpoints and values must be finite: a NaN
     temperature would otherwise pass `temperature_response`'s clamp as 0.
     """
 
@@ -46,8 +49,8 @@ class PiecewiseConstantSignal:
             raise ValueError("signal needs at least one breakpoint")
         if len(vals) != len(bp):
             raise ValueError(f"expected one value per interval ({len(bp)}), got {len(vals)}")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly ascending")
+        if not all(map(math.isfinite, bp)) or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+            raise ValueError(f"breakpoints must be finite and strictly ascending, got {bp}")
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"signal values must be finite, got {vals}")
         object.__setattr__(self, "breakpoints", bp)
@@ -96,48 +99,71 @@ class Trajectory:
         return float(self.outputs[-1])
 
 
-def sample_steps(t0: float, t1: float, dt: float, **signals: PiecewiseConstantSignal) -> tuple:
-    """The dt step grid from t0 to t1: its step count and each signal's value on every step.
+@dataclass(frozen=True)
+class StepGrid:
+    """The RK4 step grid from t0 to t1: `steps` steps of `dt`, with boundary `times`.
 
-    Every integration path gets its grid here, so all of them accept and
-    reject the same inputs. `t0`, `t1` and `dt` must be finite; `dt` must
-    be positive, divide t1 - t0 and leave a finite step count; every breakpoint inside (t0, t1) must
-    lie on the grid, so switching times are exact; and each signal must
-    be defined at t0. Errors name the signal by its keyword. Returns
-    ``(steps, values)``, where ``values`` holds one array per signal, in
-    keyword order, of its value on each step [t_i, t_{i+1}). A
-    breakpoint's value holds from the grid step nearest to it, so a
-    breakpoint a rounding error past a step start (0.01 + 5 * 0.01 >
-    6 * 0.01) switches on that step, not one step late.
+    Every integration path builds one, so all of them accept and reject
+    the same inputs: finite t0 < t1, a positive dt that divides the span,
+    and at most `MAX_STEPS` steps, counted before anything is allocated.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not -math.inf < t0 < t1 < math.inf:
-        raise ValueError(f"t1={t1} must exceed t0={t0}, and both must be finite")
-    span = float(t1) - float(t0)  # Python floats: an overflow below reads inf, with no numpy warning
-    if not span / float(dt) < math.inf:
-        raise ValueError(f"the interval of {span} days at dt={dt!r} has too many steps to count")
-    steps = int(round(span / dt))
-    if steps < 1 or abs(steps * dt - span) > GRID_TOL * max(1.0, abs(span)):
-        raise ValueError(f"step dt={dt} does not divide the interval of {span} days")
-    for name, signal in signals.items():
-        for bp in signal.breakpoints:
-            if t0 < bp < t1:
-                off = abs(round((bp - t0) / dt) * dt + t0 - bp)
-                if off > GRID_TOL:
-                    raise ValueError(
-                        f"{name} breakpoint at t={bp} is off the dt={dt} step grid by {off:.3g} days"
-                    )
-        if signal.breakpoints[0] > t0:
-            raise ValueError(f"{name} signal is undefined before t={signal.breakpoints[0]}")
-    step_index = np.arange(steps)
-    values = [
-        np.asarray(signal.values, dtype=float)[
-            np.searchsorted(np.rint((np.asarray(signal.breakpoints) - t0) / dt), step_index, side="right") - 1
-        ]
-        for signal in signals.values()
-    ]
-    return steps, values
+
+    t0: float
+    t1: float
+    dt: float
+    steps: int = field(init=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not -math.inf < self.t0 < self.t1 < math.inf:
+            raise ValueError(f"t1={self.t1} must exceed t0={self.t0}, and both must be finite")
+        span = float(self.t1) - float(self.t0)  # Python floats: an overflow below reads inf, with no numpy warning
+        if not span / float(self.dt) <= MAX_STEPS:
+            raise ValueError(
+                f"the interval of {span} days at dt={self.dt!r} has too many steps to count (over {MAX_STEPS})")
+        steps, _, on_grid = self._nearest(self.t1)
+        if steps < 1 or not on_grid:
+            raise ValueError(f"step dt={self.dt} does not divide the interval of {span} days")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "times", self.t0 + self.dt * np.arange(steps + 1))
+
+    def _nearest(self, t) -> tuple:
+        """The boundary k nearest the time t, t's distance from it, and the one on-grid test."""
+        s = t - self.t0
+        k = int(round(s / self.dt))
+        off = abs(k * self.dt - s)
+        return k, off, off <= GRID_TOL * max(1.0, abs(s))
+
+    def index(self, t: float) -> int:
+        """The step boundary at the time t, which must lie in [t0, t1] and on the grid (a ValueError otherwise)."""
+        k, _, on_grid = self._nearest(t) if self.t0 <= t <= self.t1 else (0, math.inf, False)
+        if not on_grid:
+            raise ValueError(f"t={t} is off the dt={self.dt} step grid from {self.t0} to {self.t1}")
+        return k
+
+    def sample(self, **signals: PiecewiseConstantSignal) -> list:
+        """Each signal's value on every step [t_i, t_{i+1}): one array per signal, in keyword order.
+
+        Every breakpoint inside (t0, t1) must lie on the grid, and each
+        signal must be defined at t0; errors name the signal by its keyword.
+        A breakpoint's value holds from the grid step nearest to it: one a
+        rounding error past a step start (0.01 + 5 * 0.01 > 6 * 0.01)
+        switches on that step, not one step late.
+        """
+        step_index = np.arange(self.steps)
+        values = []
+        for name, signal in signals.items():
+            for bp in [bp for bp in signal.breakpoints if self.t0 < bp < self.t1]:
+                _, off, on_grid = self._nearest(bp)
+                if not on_grid:
+                    raise ValueError(f"{name} breakpoint at t={bp} is off the dt={self.dt} step grid by {off:.3g} days")
+            if signal.breakpoints[0] > self.t0:
+                raise ValueError(f"{name} signal is undefined before t={signal.breakpoints[0]}")
+            first_steps = np.rint((np.asarray(signal.breakpoints) - self.t0) / self.dt)
+            values.append(np.asarray(signal.values, dtype=float)[np.searchsorted(first_steps, step_index, "right") - 1])
+        return values
 
 
 def integrate(
@@ -161,13 +187,11 @@ def integrate(
     R_signal = PiecewiseConstantSignal(
         env.temperature.breakpoints, tuple(temperature_response(T, p.T_op) for T in env.temperature.values)
     )
-    steps, (u_steps, R_steps, I_steps) = sample_steps(
-        t0, t1, dt, input=u_signal, temperature=R_signal, light=env.light
-    )
+    grid = StepGrid(t0, t1, dt)
+    u_steps, R_steps, I_steps = grid.sample(input=u_signal, temperature=R_signal, light=env.light)
     if np.any(u_steps < 0.0):
         raise ValueError("nitrogen input signal must be nonnegative")
 
-    times = t0 + dt * np.arange(steps + 1)
     k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n = _param_values(p)
     stages = [(h * dt, w) for h, w in _RK4_STAGES]
     sixth = dt / 6.0
@@ -222,4 +246,4 @@ def integrate(
 
     states = np.array(history).reshape(-1, 3)
     outputs = psi * states[:, 0]
-    return Trajectory(times=times, states=states, outputs=outputs)
+    return Trajectory(times=grid.times, states=states, outputs=outputs)

@@ -616,6 +616,15 @@ class TestNonFiniteStep:
         assert capsys.readouterr().err.startswith("config error: dt=1e-320 is too small for season_days=50.0")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_step_count_bound_is_a_config_error(self, command, tmp_path, capsys):
+        """A dt that leaves a finite but huge step count is refused before numpy is asked for its grid."""
+        capsys.readouterr()
+        argv = [command, "--config", "builtin:uncontrolled", "--set", "field.dt=1e-9", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: dt=1e-09 is too small for season_days=50.0")
+        assert not (tmp_path / "o").exists()
+
 
 class TestExtremeParameters:
     """The step-stability warning never fails a command, however large or small a parameter."""

@@ -12,6 +12,7 @@ import lettucesim as ls
 from lettucesim.config import builtin_config_names, load_config
 from lettucesim.control import ActuationSchedule, ControlPolicy, SaturationSpec
 from lettucesim.field import FieldTrajectory, export_ledger_csv, export_trajectory_csv
+from lettucesim.integrator import StepGrid
 
 P = ls.NOMINAL_PARAMS
 SAT = SaturationSpec(0.075, 0.0075)
@@ -120,8 +121,10 @@ class TestSimulateField:
 
     LANE_PARAMS = np.array([ls.sample_params(P, 0.1, 3, i).as_array() for i in range(5)])
     LANE_S0 = ls.PlantState(b=0.005, c=0.001, n=0.0001)
-    LANE_T = np.repeat([22.0, 15.0], 40)
-    LANE_I = np.repeat([530.0, 200.0, 600.0], [30, 30, 20])
+    # temperature 22 then 15 from step 40; light 530, 200 from step 30, 600 from step 60
+    LANE_GRID = StepGrid(0.0, 1.6, 0.02)
+    LANE_ENV = ls.EnvSchedule(ls.PiecewiseConstantSignal((0.0, 0.8), (22.0, 15.0)),
+                              ls.PiecewiseConstantSignal((0.0, 0.6, 1.2), (530.0, 200.0, 600.0)))
 
     def test_advance_without_history_keeps_final_state(self):
         """`states=None` skips the per-step writes but leaves the same final b, c, n."""
@@ -131,7 +134,7 @@ class TestSimulateField:
         states = np.empty((5, 81, 3))
         finals = []
         for history in (states, None):
-            x, advance = _lanes(self.LANE_PARAMS, self.LANE_S0, self.LANE_T, self.LANE_I, 0.02, history)
+            x, advance = _lanes(self.LANE_PARAMS, self.LANE_S0, self.LANE_GRID, self.LANE_ENV, history)
             advance(u, 0, 80)
             finals.append(x.copy())
         assert np.array_equal(finals[0], finals[1])
@@ -147,7 +150,7 @@ class TestSimulateField:
         runs = []
         for bounds in ((0, 80), cuts):
             states = np.empty((5, 81, 3))
-            x, advance = _lanes(self.LANE_PARAMS, self.LANE_S0, self.LANE_T, self.LANE_I, 0.02, states)
+            x, advance = _lanes(self.LANE_PARAMS, self.LANE_S0, self.LANE_GRID, self.LANE_ENV, states)
             for start, stop in zip(bounds, bounds[1:]):
                 advance(u, start, stop)
             runs.append((x.copy(), states))
@@ -228,6 +231,11 @@ class TestSimulateField:
         cfg = small_config(dt=0.5)
         with pytest.raises(ls.ConfigError):
             ls.simulate_field(cfg, CONSTANT, ActuationSchedule(0.25))
+
+    def test_tiny_interval_rejected_before_listing_its_times(self):
+        """An interval of 1e-12 day would list 4e12 application times (29 TiB) before any grid check."""
+        with pytest.raises(ls.ConfigError, match="shorter than dt"):
+            ls.simulate_field(small_config(), CONSTANT, ActuationSchedule(1e-12))
 
     def test_off_grid_interval_rejected(self):
         cfg = small_config()
@@ -414,7 +422,7 @@ class TestFieldConfigValidation:
         with pytest.raises(ls.ConfigError, match=rf"^{key} must be \w+ and finite, got {bad}$"):
             ls.FieldConfig(**{key: bad})
 
-    @pytest.mark.parametrize("dt", [1e-320, 5e-324])
+    @pytest.mark.parametrize("dt", [1e-320, 5e-324, 1e-9])
     def test_step_count_overflow(self, dt):
         with pytest.raises(ls.ConfigError, match=rf"^dt={dt!r} is too small for season_days=50.0"):
             ls.FieldConfig(dt=dt)

@@ -186,7 +186,7 @@ class TestSensitivities:
         # a dt of 0.05 overshoots below zero, and the projection clamps it
         spec = ls.FitSpec(guess=P, env=ls.EnvSchedule.constant(22.0, 0.0), dt=0.05)
         times = (0.5, 1.0, 1.5, 2.0)
-        traj, _ = fitting._trajectory(P, spec, times)
+        traj, _, _ = fitting._trajectory(P, spec, times)
         assert (traj.states[:, 1] == 0.0).any()
         y = fitting._simulated_outputs(P, spec, np.asarray(times))
         series = ls.BiomassTimeseries(times, tuple(1.1 * y))

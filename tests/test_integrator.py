@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lettucesim as ls
-from lettucesim.integrator import GRID_TOL, sample_steps
+from lettucesim.integrator import GRID_TOL, MAX_STEPS, StepGrid
 from lettucesim.model import EnvPoint, PlantState, rhs
 
 P = ls.NOMINAL_PARAMS
@@ -32,6 +33,9 @@ class TestPiecewiseConstantSignal:
         ((0.0, 0.0), (1.0, 2.0)),
         ((1.0, 0.5), (1.0, 2.0)),
         ((0.0, 1.0), (1.0,)),
+        ((0.0, float("nan")), (1.0, 2.0)),
+        ((0.0, float("nan"), 3.0), (1.0, 2.0, 3.0)),
+        ((0.0, float("inf")), (1.0, 2.0)),
     ])
     def test_invalid_signals(self, bp, vals):
         with pytest.raises(ValueError):
@@ -97,7 +101,7 @@ class TestIntegrate:
         def dose(switch):
             return ls.PiecewiseConstantSignal((0.0, switch), (0.075, 0.02))
 
-        steps, (u_steps,) = sample_steps(0.0, 0.1, 0.01, input=dose(late))
+        (u_steps,) = StepGrid(0.0, 0.1, 0.01).sample(input=dose(late))
         assert u_steps.tolist() == [0.075] * 6 + [0.02] * 4
         a = ls.integrate(P, S0, dose(late), ENV, 0.0, 0.1, 0.01)
         b = ls.integrate(P, S0, dose(exact), ENV, 0.0, 0.1, 0.01)
@@ -123,7 +127,7 @@ class TestIntegrate:
     def test_non_finite_grid_rejected(self, t0, t1, dt, message):
         u = ls.PiecewiseConstantSignal.constant(0.075, t_start=-1.0)
         with pytest.raises(ValueError, match=message):
-            sample_steps(t0, t1, dt, input=u)
+            StepGrid(t0, t1, dt).sample(input=u)
         with pytest.raises(ValueError, match=message):
             ls.integrate(P, S0, u, ENV, t0, t1, dt)
 
@@ -132,9 +136,18 @@ class TestIntegrate:
         u = ls.PiecewiseConstantSignal.constant(0.075, t_start=-1e308)
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match="too many steps to count"):
-                sample_steps(t0, t1, dt, input=u)
+                StepGrid(t0, t1, dt).sample(input=u)
             with pytest.raises(ValueError, match="too many steps to count"):
-                sample_steps(np.float64(t0), np.float64(t1), np.float64(dt))
+                StepGrid(np.float64(t0), np.float64(t1), np.float64(dt))
+
+    @pytest.mark.parametrize("t1, dt", [(1.0, 1e-9), (50.0, 1e-9), (MAX_STEPS * 0.01 + 0.01, 0.01)])
+    def test_step_count_bound_rejected_before_allocating(self, t1, dt):
+        """A grid over MAX_STEPS steps is an error, not a request for gigabytes of steps."""
+        u = ls.PiecewiseConstantSignal.constant(0.075)
+        with pytest.raises(ValueError, match="too many steps to count"):
+            StepGrid(0.0, t1, dt)
+        with pytest.raises(ValueError, match="too many steps to count"):
+            ls.integrate(P, S0, u, ENV, 0.0, t1, dt)
 
     def test_negative_input_rejected(self):
         u = ls.PiecewiseConstantSignal.constant(-0.01)
@@ -148,6 +161,37 @@ class TestIntegrate:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(2.0)
         assert np.array_equal(traj.outputs, P.psi * traj.states[:, 0])
+
+
+class TestStepGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(dt=st.sampled_from([0.01, 0.02, 0.05, 0.25]), steps=st.integers(1, 400),
+           t0=st.sampled_from([0.0, 3.0]), data=st.data())
+    def test_times_index_and_one_on_grid_test(self, dt, steps, t0, data):
+        """`times` is t0 + dt * arange(steps + 1); t1, `index` and breakpoints share one on-grid test."""
+        grid = StepGrid(t0, t0 + steps * dt, dt)
+        assert grid.steps == steps
+        assert np.array_equal(grid.times, t0 + dt * np.arange(steps + 1))
+        assert [grid.index(t) for t in grid.times] == list(range(steps + 1))
+        k = data.draw(st.integers(1, steps), label="k")
+        with pytest.raises(ValueError, match=f"off the dt={dt} step grid"):
+            grid.index(grid.times[k - 1] + 0.3 * dt)
+
+        for off, on_grid in ((0.5 * GRID_TOL, True), (3 * GRID_TOL * max(1.0, k * dt), False)):
+            t = t0 + k * dt - off
+            switch = ls.PiecewiseConstantSignal((t0, t), (1.0, 2.0))
+            if on_grid:
+                assert StepGrid(t0, t, dt).steps == k
+                assert grid.index(t) == k
+                (values,) = grid.sample(input=switch)
+                assert values.tolist() == [1.0] * k + [2.0] * (steps - k)
+            else:
+                with pytest.raises(ValueError, match="does not divide"):
+                    StepGrid(t0, t, dt)
+                with pytest.raises(ValueError, match=f"off the dt={dt} step grid"):
+                    grid.index(t)
+                with pytest.raises(ValueError, match=f"off the dt={dt} step grid"):
+                    grid.sample(input=switch)
 
 
 class TestOrderPreservation:
