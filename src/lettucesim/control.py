@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integrator import MAX_STEPS
+
 _VARIANTS = ("constant", "global", "local")
 
 
@@ -81,11 +83,14 @@ class ActuationSchedule:
             )
 
     def times_within(self, season_days: float) -> np.ndarray:
-        """Application times in [first_application_day, season_days)."""
+        """Application times in [first_application_day, season_days); over `MAX_STEPS` of them is a ValueError."""
         if self.first_application_day >= season_days:
             raise ValueError("first application falls at or after the season end")
-        count = int(math.ceil((season_days - self.first_application_day) / self.interval_days - 1e-12))
-        return self.first_application_day + self.interval_days * np.arange(count)
+        count = (season_days - self.first_application_day) / self.interval_days - 1e-12
+        if not count <= MAX_STEPS:  # before numpy is asked for every time
+            raise ValueError(f"{count:.4g} application times every {self.interval_days!r} days within "
+                             f"{season_days!r} days are too many (over {MAX_STEPS})")
+        return self.first_application_day + self.interval_days * np.arange(math.ceil(count))
 
 
 def global_proportional(outputs: np.ndarray, policy: ControlPolicy) -> np.ndarray:

@@ -6,25 +6,26 @@ between application epochs. At every epoch the policy observes the
 current shoot outputs (optionally noised) and resets each plant's
 piecewise-constant nitrogen dose.
 
-Integration is vectorized across plants. Its RK4 kernel, built once per
-run by `_lanes`, evaluates each stage as about sixteen numpy calls on
-same-shape row blocks of one preallocated workspace: the terms of
-`model._flux_core` and the differences of `model._rates`, each op with
-their operand order, and `integrate`'s projection as elementwise maxima.
+Integration runs every plant as one lane of a compiled RK4 kernel,
+`_rk4.c`, set up once per run by `_lanes`: one C loop over steps and,
+inside each step, over lanes. It writes the terms of `model._flux_core`
+with their operand order, `integrate`'s stage loop and RK4 sum, and its
+projection as the same `if` clamps, and it is built with
+-ffp-contract=off and no fast-math flag, so no multiply-add is fused.
 So a field run reproduces the per-plant `integrate` results bit for bit
 and is independent of any worker-thread count. That also rests on one
 step grid: the field takes its times, each step's temperature and light
 and each application's step from one `integrator.StepGrid`, as
 `integrate` does; an environment breakpoint off that grid raises the
-same ValueError, an application time off it a ConfigError. `integrate`
-and the fit's tangent replay loop over `integrator._RK4_STAGES`; the
-lane kernel keeps its fused stage sequence, because a loop there adds
-Python work on every batched step.
+same ValueError, an application time off it a ConfigError. The kernel is
+compiled on a process's first lane run and cached (`_rk4.load`); the
+scalar `integrate` stays the Python loop, the oracle the lane tests
+compare against.
 
-The same batched RK4 kernel serves any set of independent lanes:
-`integrate_lanes` runs lanes that each hold their own parameters and a
-constant dose, and keeps only their final states (the dose-response
-sweep uses it from `metrics._BATCH_MIN_LANES` lanes up).
+The same kernel serves any set of independent lanes: `integrate_lanes`
+runs lanes that each hold their own parameters and a constant dose, and
+keeps only their final states (the dose-response sweep uses it from
+`metrics._BATCH_MIN_LANES` lanes up).
 
 Every CSV artifact of the package goes through `write_table`, which
 holds the one format: csv's default dialect, each float as its `repr`.
@@ -47,6 +48,9 @@ import numpy as np
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
 from .integrator import GRID_TOL, MAX_STEPS, EnvSchedule, StepGrid
 from .model import B_EPS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
+
+# Most bytes `simulate_field` may allocate for its state history, (steps + 1) x plants x 3 float64.
+MAX_HISTORY_BYTES = 2**32
 
 # Light level calibrated so the nominal uncontrolled field reaches a
 # mean dry shoot biomass around 40 g by day 50 (builtin:uncontrolled).
@@ -239,6 +243,12 @@ def simulate_field(
         raise ConfigError(f"policy.saturation.u_bar={policy.saturation.u_bar!r} differs from field.u_bar="
                           f"{cfg.u_bar!r}; a field run holds one baseline dose")
     grid = StepGrid(0.0, cfg.season_days, cfg.dt)
+    n = cfg.n_plants
+    history_bytes = (grid.steps + 1) * n * 24
+    if history_bytes > MAX_HISTORY_BYTES:
+        raise ConfigError(f"the state history of {n} plants over {grid.steps} steps needs "
+                          f"{history_bytes / 2**30:.1f} GiB, over {MAX_HISTORY_BYTES / 2**30:g} GiB; "
+                          "raise dt or lower n_plants")
     if schedule.interval_days < cfg.dt - GRID_TOL:  # before `times_within` lists a tiny interval's times
         raise ConfigError(f"application interval {schedule.interval_days} is shorter than dt={cfg.dt}")
     app_times = schedule.times_within(cfg.season_days)
@@ -246,7 +256,6 @@ def simulate_field(
         app_steps = [grid.index(t) for t in app_times]
     except ValueError as exc:
         raise ConfigError(f"application time {exc}; choose an interval that is a multiple of dt") from None
-    n = cfg.n_plants
     if plant_params is None:
         params = tuple(
             sample_params(cfg.nominal_params, cfg.perturbation_frac, cfg.seed, i) for i in range(n)
@@ -314,11 +323,7 @@ def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: fl
     grid = StepGrid(0.0, t1, dt)
     x, advance = _lanes(pmat, s0, grid, env)
     advance(u, 0, grid.steps)
-    return tuple(x.copy())  # a copy, so the caller does not keep the workspace alive
-
-
-# Floors of (b, c, n), one row each: the projection `integrate` applies.
-_FLOORS = np.array([[B_EPS], [0.0], [0.0]])
+    return tuple(x)
 
 
 def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) -> tuple:
@@ -327,110 +332,60 @@ def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) 
     Lane i has the parameters ``pmat[i]`` (a `PlantParams.as_array()`
     row) and starts at `s0`; each step's temperature and light are
     `env`'s, sampled on `grid` (an off-grid breakpoint raises its
-    ValueError). The lane constants, the temperature terms and one
-    workspace are built here, once. `x` is the live (3, lanes) view
-    of b, c and n; ``advance(u, start, stop)`` RK4-steps every lane in
-    place from step `start` to `stop` under the dose `u`, writing step
-    i's state to ``states[:, i]`` (`s0` to ``states[:, 0]``) unless
-    `states` is None. Each op below keeps the operand order of the
-    `_flux_core` term its comment names, the RK4 sums are `integrate`'s
-    and its `if` clamps are elementwise maxima, so each lane matches
-    `integrate` bit for bit, however the run is cut into `advance` calls.
+    ValueError). The lane constants and the per-temperature terms are
+    built here, once. `x` is the (3, lanes) array of b, c and n;
+    ``advance(u, start, stop)`` RK4-steps every lane in place from step
+    `start` to `stop` under the dose `u` (one per lane, or one for all),
+    writing step i's state to ``states[:, i]`` (`s0` to ``states[:, 0]``)
+    unless `states` is None.
+
+    ``advance`` is one call of the compiled C loop of `_rk4.c` (built and
+    cached by `_rk4.load`), over steps and, inside each step, over lanes.
+    It writes each `_flux_core` term with its operands in their order,
+    `integrate`'s stage loop and RK4 sum, and each clamp as `integrate`'s
+    ``if`` (NaN and -0.0 pass it unchanged). The flags are fixed, -O3
+    -fPIC -shared -ffp-contract=off: -O3 with `restrict` pointers
+    vectorizes the lane loop, and with contraction off no multiply-add is
+    fused, which would change last bits (as -ffast-math, -Ofast or
+    -march=native could). So each lane matches `integrate` bit for bit,
+    however the run is cut into `advance` calls.
     """
+    from ._rk4 import load  # here, so importing the package never builds or loads the kernel
+
+    kernel = load()
     # the columns of `PlantParams.as_array()` rows, in `PARAM_NAMES` order
     k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, T_op, theta_c, theta_n = np.asarray(pmat, dtype=float).T
     lanes = len(k)
-    dt = grid.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    mul, div, add, sub, maximum = np.multiply, np.divide, np.add, np.subtract, np.maximum
-
-    # lane constants as row blocks, so most ops below are same-shape
-    psi5 = np.array([psi, 1.0 - psi, psi, 1.0 - psi, k_l])
-    js = np.array([j_c, j_n, sigma_c, sigma_n])
-    vv = np.array([v, v])
-    floors = np.repeat(_FLOORS, lanes, axis=1)
+    consts = np.array([psi, 1.0 - psi, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n])
     theta_k = np.array([theta_c * k, theta_n * k])
-    temperatures, lights = (values.tolist() for values in grid.sample(temperature=env.temperature, light=env.light))
-    terms = {}
-    for T in set(temperatures):
+    temperatures, lights = grid.sample(temperature=env.temperature, light=env.light)
+    distinct, temp_index = np.unique(temperatures, return_inverse=True)
+    temp_index = temp_index.astype(np.int64)
+    # rows k * R, theta_c * k * R, theta_n * k * R of each distinct temperature
+    terms = np.empty((len(distinct), 3, lanes))
+    for row, T in zip(terms, distinct.tolist()):
         R = np.maximum(0.0, (T_op - np.abs(T_op - T)) / T_op)  # `temperature_response` per lane
-        terms[T] = (k * R, theta_k * R)  # k * R, and theta_c * k * R, theta_n * k * R
+        row[0] = k * R
+        row[1:] = theta_k * R
 
-    # one workspace: the step and stage states [b, c, n, k_ml], the four
-    # stages' rates, and the flux blocks named in `rates`; `lu` is [I, u]
-    rows = (4, 4, 3, 3, 3, 3, 5, 4, 5, 3, 3, 2)
-    x, y, k1, k2, k3, k4, m, h, z, a, lo, lu = np.split(np.empty((sum(rows), lanes)), np.cumsum(rows)[:-1])
-    x[:3] = [[max(s0.b, B_EPS)], [s0.c], [s0.n]]
-    x[3] = y[3] = k_ml
-    x3, y3 = x[:3], y[:3]
-    # b, b as 3 and 5 rows (views bound once: an op on them costs about
-    # half a broadcast of the row), [c, n, k_ml] and [c, n] of the step
-    # and the stage state
-    x_rows, y_rows = (
-        (s[0], np.broadcast_to(s[0], (3, lanes)), np.broadcast_to(s[0], (5, lanes)), s[1:], s[1:3]) for s in (x, y)
-    )
-    z_sat, z_cn, z_q, z_cb, z_nb, z_lit = z[:2], z[2:4], z[2:], z[2], z[3], z[4]
-    m_sr, m_4, m_lit, h_j, h_sig = m[:2], m[:4], m[4], h[:2], h[2:]
-    growth, assim = a[0], a[1:]
-    litter, consume = lo[0], lo[1:]
-    history = None if states is None else states.transpose(1, 2, 0)
-    if history is not None:
-        history[0] = x3
-
-    def rates(kR, thkR, b, b3, b5, cnk, cn, out):
-        """`model._rates` of a stage state, given as its rows, under the temperature terms, into out."""
-        div(cnk, b3, out=z_q)  # c / b, n / b, k_ml / b
-        mul(psi5, b5, out=m)  # shoot, root (and again), k_l * b
-        mul(kR, z_cb, out=growth)  # growth = k * R * (c / b)
-        mul(growth, z_nb, out=growth)  #   * (n / b)
-        mul(growth, b, out=growth)  #   * b
-        mul(js, m_4, out=h)  # shoot * j_c, root * j_n, sigma_c * shoot, sigma_n * root
-        div(m_sr, vv, out=z_sat)  # shoot / v, root / v
-        div(cn, h_j, out=z_cn)  # c / (shoot * j_c), n / (root * j_n)
-        add(z, 1.0, out=z)  # 1.0 + each of the five saturation terms
-        mul(z_sat, z_cn, out=z_sat)  # (1.0 + shoot / v) * (1.0 + c / (shoot * j_c)), and for n
-        mul(h_sig, lu, out=assim)  # sigma_c * shoot * I, sigma_n * root * u
-        div(assim, z_sat, out=assim)  # assim_c, assim_n
-        div(m_lit, z_lit, out=litter)  # litter = k_l * b / (1.0 + k_ml / b)
-        mul(thkR, cn, out=consume)  # consume_c = theta_c * k * R * c, consume_n
-        sub(a, lo, out=out)  # growth - litter, assim_c - consume_c, assim_n - consume_n
-
-    def project(step, k_prev):
-        """The stage state: x + step * k_prev, projected onto the floors."""
-        mul(k_prev, step, out=y3)
-        add(x3, y3, out=y3)
-        maximum(y3, floors, out=y3)
+    x = np.empty((3, lanes))
+    x[:] = [[max(s0.b, B_EPS)], [s0.c], [s0.n]]
+    dose = np.empty(lanes)
+    if states is not None:
+        if states.shape != (lanes, grid.steps + 1, 3) or states.dtype != float or not states.flags.c_contiguous:
+            raise ValueError(f"states must be a C-contiguous float64 array of shape {(lanes, grid.steps + 1, 3)}")
+        states[:, 0] = x.T
+    # the kernel's array arguments, each an array's `ctypes` view, which keeps that array alive
+    arrays = [a if a is None else a.ctypes for a in (consts, terms, temp_index, lights, dose, x, states)]
 
     def advance(u, start, stop):
         """RK4-step every lane in place from step `start` to `stop` under the dose `u`."""
-        lu[1] = u
-        I_last = None
-        for i, T, I in zip(range(start + 1, stop + 1), temperatures[start:stop], lights[start:stop]):
-            kR, thkR = terms[T]
-            if I != I_last:
-                lu[0] = I
-                I_last = I
-            rates(kR, thkR, *x_rows, k1)
-            project(half, k1)
-            rates(kR, thkR, *y_rows, k2)
-            project(half, k2)
-            rates(kR, thkR, *y_rows, k3)
-            project(dt, k3)
-            rates(kR, thkR, *y_rows, k4)
-            # x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            mul(k2, 2.0, out=k2)
-            add(k1, k2, out=k1)
-            mul(k3, 2.0, out=k3)
-            add(k1, k3, out=k1)
-            add(k1, k4, out=k1)
-            mul(k1, sixth, out=k1)
-            add(x3, k1, out=x3)
-            maximum(x3, floors, out=x3)
-            if history is not None:
-                history[i] = x3
+        if not 0 <= start <= stop <= grid.steps:
+            raise ValueError(f"steps {start} to {stop} are not within the grid's {grid.steps}")
+        dose[:] = u
+        kernel(lanes, start, stop, grid.dt, B_EPS, *arrays, 3 * (grid.steps + 1))
 
-    return x3, advance
+    return x, advance
 
 
 _TRAJECTORY_HEADER = b"plant_id,t,b,c,n,y,u\r\n"

@@ -27,10 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import (
-    _FLOORS, DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, _check_perturbation_frac, sample_params, write_table,
+    DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, _check_perturbation_frac, sample_params, write_table,
 )
 from .integrator import _RK4_STAGES, EnvSchedule, PiecewiseConstantSignal, StepGrid, integrate
 from .model import (
+    B_EPS,
     PARAM_NAMES,
     PlantParams,
     PlantState,
@@ -40,6 +41,9 @@ from .model import (
 )
 
 FRESH_TO_DRY = 0.1
+
+# Floors of (b, c, n), one row each: the projection `integrate` applies.
+_FLOORS = np.array([[B_EPS], [0.0], [0.0]])
 
 # Weakly identified from sparse shoot-mass data; fixed unless freed.
 DEFAULT_FIXED = frozenset({"k", "T_op", "theta_c", "theta_n"})

@@ -204,8 +204,8 @@ def integrate(
     # per-operation overhead at this call density. With the flat history,
     # the stage loop costs 0.96-1.00x four written-out stages with a row
     # write per step (BENCH_19.json); a function call per step cost
-    # 1.7-2.1x. The lane kernel of `field._lanes` writes the same fluxes as
-    # row-block ops, and the lane tests hold it to this loop's bits.
+    # 1.7-2.1x. The compiled lane kernel of `field._lanes` writes the same
+    # fluxes and stages in C, and the lane tests hold it to this loop's bits.
     for u, R, I in zip(u_steps.tolist(), R_steps.tolist(), I_steps.tolist()):
         g, l, cc, cn, ac, an = _flux_core(
             b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n

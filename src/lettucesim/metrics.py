@@ -17,10 +17,11 @@ from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, FieldConfig, FieldTraject
 from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate
 from .model import PlantState
 
-# Cells from which the sweep runs as one batched RK4 pass. Measured on a
-# 2-vCPU VM: a 50-day batched pass took 0.19-0.21 s at 6 to 16 lanes
-# (~40 us per step, nearly all fixed), a 50-day scalar `integrate` call
-# 16.3-16.7 ms: the two tie at 12 lanes, and the batched pass wins from 13.
+# Cells from which the sweep runs as one batched RK4 pass. It was the
+# crossover of the numpy lane kernel. The compiled kernel wins from one
+# cell up (2-vCPU VM, dt 0.01, 50 days): a batched pass took 0.58-0.70 ms
+# at 1 and 2 lanes and 2.6-3.1 ms at 13, a scalar `integrate` call 15-30 ms.
+# The scalar branch below stays until the sweep's fork is deleted.
 _BATCH_MIN_LANES = 13
 
 
@@ -163,8 +164,8 @@ def dose_response_sweep(
     Every (parameter set, dose) cell is an independent integration from
     day 0. From `_BATCH_MIN_LANES` cells up they run as the lanes of one
     batched RK4 pass (`field.integrate_lanes`), which keeps only the
-    final states; below that, one scalar `integrate` call per cell is
-    faster. Both give bit-identical `final_b` and raise the same
+    final states; below that, each cell is one scalar `integrate` call.
+    Both give bit-identical `final_b` and raise the same
     ValueError for a `day` or an environment breakpoint off the dt grid,
     and one naming the first cell whose final biomass is not finite
     (without numpy warnings).
@@ -181,8 +182,7 @@ def dose_response_sweep(
     if n_sets * u_grid.size >= _BATCH_MIN_LANES:
         # lane p * len(u_grid) + j is parameter set p under dose u_grid[j]
         lanes = np.repeat(np.array([p.as_array() for p in param_sets]), u_grid.size, axis=0)
-        with np.errstate(all="ignore"):  # the check below names the first non-finite cell instead
-            b, _, _ = integrate_lanes(lanes, np.tile(u_grid, n_sets), env, s0, day, dt)
+        b, _, _ = integrate_lanes(lanes, np.tile(u_grid, n_sets), env, s0, day, dt)
         final_b = b.reshape(n_sets, u_grid.size)
     else:
         final_b = np.empty((n_sets, u_grid.size))

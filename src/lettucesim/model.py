@@ -184,8 +184,9 @@ def _rates(b, c, n, u, R, I, *params):
     lanes alike; `params` is the `FLUX_PARAMS` tail. `rhs` and the tests
     call it; `integrate` writes its three differences after each
     `_flux_core` call, a call per stage cheaper than this one, and
-    the lane kernel built by `field._lanes` writes them as row-block ops
-    with the same bits.
+    the compiled lane kernel behind `field._lanes` (`_rk4.c`) writes the
+    fluxes and differences in C, in the same op and operand order, with
+    the same bits.
     """
     growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(b, c, n, u, R, I, *params)
     return growth - litter, assim_c - consume_c, assim_n - consume_n

@@ -625,6 +625,14 @@ class TestNonFiniteStep:
         assert capsys.readouterr().err.startswith("config error: dt=1e-09 is too small for season_days=50.0")
         assert not (tmp_path / "o").exists()
 
+    def test_history_bound_is_a_config_error(self, tmp_path, capsys):
+        """A step count within `MAX_STEPS` whose state history would not fit in `MAX_HISTORY_BYTES`."""
+        capsys.readouterr()
+        argv = ["simulate", "--config", "builtin:uncontrolled", "--set", "field.dt=5e-6", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: the state history of 100 plants over 10000000 steps")
+        assert not (tmp_path / "o").exists()
+
 
 class TestExtremeParameters:
     """The step-stability warning never fails a command, however large or small a parameter."""

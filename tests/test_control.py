@@ -218,6 +218,11 @@ class TestActuationSchedule:
         with pytest.raises(ValueError):
             ActuationSchedule(1.0, 60.0).times_within(50.0)
 
+    def test_too_many_times_rejected_before_listing_them(self):
+        """A 1e-12-day interval would list 4e12 times (29.1 TiB): a ValueError naming the count instead."""
+        with pytest.raises(ValueError, match=r"^4e\+12 application times .* too many \(over 10000000\)$"):
+            ActuationSchedule(1e-12).times_within(4.0)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             ControlPolicy(variant="pid", saturation=SAT)

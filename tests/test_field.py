@@ -237,6 +237,12 @@ class TestSimulateField:
         with pytest.raises(ls.ConfigError, match="shorter than dt"):
             ls.simulate_field(small_config(), CONSTANT, ActuationSchedule(1e-12))
 
+    def test_history_bound_rejected_before_allocating(self):
+        """dt=5e-6 is within the step bound, but 100 plants' history would take 22.4 GiB."""
+        with pytest.raises(ls.ConfigError, match=r"^the state history of 100 plants over 10000000 steps needs 22\.4 GiB"):
+            ls.simulate_field(ls.FieldConfig(dt=5e-6), CONSTANT, DAILY)
+        assert (5000 + 1) * 1000 * 24 <= ls.field.MAX_HISTORY_BYTES == 2**32  # the 1,000-plant daily field fits
+
     def test_off_grid_interval_rejected(self):
         cfg = small_config()
         with pytest.raises(ls.ConfigError):
