@@ -1,14 +1,16 @@
-/* The lane RK4 kernel behind `field._lanes`: every lane of a field run
- * or a dose sweep, stepped in place on one step grid.
+/* The lane RK4 kernel behind `integrator._lanes`, the package's one RK4
+ * stepper: every lane of an `integrate` run, a dose sweep or a field run,
+ * stepped in place on one step grid.
  *
  * A lane is one plant with its own parameters and dose. Every flux is
  * `model._flux_core`'s expression with its operands in the same order;
- * the stage loop, the RK4 sum and the clamps are `integrator.integrate`'s.
- * Each multiply and add is rounded on its own (the build passes
- * -ffp-contract=off and no fast-math flag), so each lane equals a scalar
- * `integrate` bit for bit, and a clamp keeps NaN and -0.0 as the scalar
- * `if` does. The outer loop runs over steps, the inner one over lanes,
- * which -O3 vectorizes given the `restrict` pointers.
+ * the stage loop follows `integrator._RK4_STAGES`, the RK4 sum runs left
+ * to right, and each clamp is an `if` that keeps NaN and -0.0. Each
+ * multiply and add is rounded on its own (the build passes
+ * -ffp-contract=off and no fast-math flag), so a lane's bits do not
+ * depend on the other lanes, and they equal the Python RK4 loop the tests
+ * keep as a reference. The outer loop runs over steps, the inner one over
+ * lanes, which -O3 vectorizes given the `restrict` pointers.
  */
 
 #include <stdint.h>

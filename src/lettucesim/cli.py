@@ -379,12 +379,18 @@ def cmd_fit(args) -> int:
     )
     _warn_if_unstable_step(spec.guess, spec.s0, spec.u, spec.env, spec.dt)
 
-    # Each fit is a pure-Python RK4 loop that holds the interpreter lock, so
-    # only processes run fits in parallel. A fit's numbers do not depend on
-    # the process it ran in. The pool gets the longest series first (by last
-    # observation day; ties in dataset order), so a long series does not
-    # start last while the other workers idle; results go back to dataset
-    # order.
+    # A fit's forward pass is the compiled RK4 kernel, but most of its time
+    # is the numpy tangent replay of the gradient and L-BFGS-B's Python
+    # steps, which hold the interpreter lock, so only processes run fits in
+    # parallel. A fit's numbers do not depend on the process it ran in. The
+    # pool gets the longest series first (by last observation day; ties in
+    # dataset order), so a long series does not start last while the other
+    # workers idle; results go back to dataset order.
+    from . import _rk4  # here, so importing the CLI never builds or loads the kernel
+
+    # Built or loaded once, before any fit: a failed build is one error, not
+    # an error row per series, and forked workers inherit the library.
+    _rk4.load()
     run_one = partial(_fit_one, spec)
     workers = min(args.threads, len(dataset), _usable_cpus())
     if workers > 1:

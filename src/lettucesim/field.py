@@ -6,26 +6,15 @@ between application epochs. At every epoch the policy observes the
 current shoot outputs (optionally noised) and resets each plant's
 piecewise-constant nitrogen dose.
 
-Integration runs every plant as one lane of a compiled RK4 kernel,
-`_rk4.c`, set up once per run by `_lanes`: one C loop over steps and,
-inside each step, over lanes. It writes the terms of `model._flux_core`
-with their operand order, `integrate`'s stage loop and RK4 sum, and its
-projection as the same `if` clamps, and it is built with
--ffp-contract=off and no fast-math flag, so no multiply-add is fused.
-So a field run reproduces the per-plant `integrate` results bit for bit
-and is independent of any worker-thread count. That also rests on one
-step grid: the field takes its times, each step's temperature and light
-and each application's step from one `integrator.StepGrid`, as
-`integrate` does; an environment breakpoint off that grid raises the
-same ValueError, an application time off it a ConfigError. The kernel is
-compiled on a process's first lane run and cached (`_rk4.load`); the
-scalar `integrate` stays the Python loop, the oracle the lane tests
-compare against.
-
-The same kernel serves any set of independent lanes: `integrate_lanes`
-runs lanes that each hold their own parameters and a constant dose, and
-keeps only their final states (the dose-response sweep uses it from
-`metrics._BATCH_MIN_LANES` lanes up).
+Integration runs every plant as one lane of the compiled RK4 kernel
+(`integrator._lanes`), advanced epoch by epoch. Each lane's bits do
+not depend on the other lanes, so a field row equals that plant's
+`integrate` run under its ledger doses bit for bit, and no result
+depends on a worker-thread count. The field takes its times, each
+step's temperature and light and each application's step from one
+`integrator.StepGrid`, as `integrate` does: an environment breakpoint
+off that grid raises the same ValueError, an application time off it a
+ConfigError.
 
 Every CSV artifact of the package goes through `write_table`, which
 holds the one format: csv's default dialect, each float as its `repr`.
@@ -46,8 +35,8 @@ from functools import partial
 import numpy as np
 
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
-from .integrator import GRID_TOL, MAX_STEPS, EnvSchedule, StepGrid
-from .model import B_EPS, NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
+from .integrator import GRID_TOL, MAX_STEPS, EnvSchedule, StepGrid, _lanes
+from .model import NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
 
 # Most bytes `simulate_field` may allocate for its state history, (steps + 1) x plants x 3 float64.
 MAX_HISTORY_BYTES = 2**32
@@ -309,83 +298,6 @@ def _check_finite(x, t) -> None:
             f"plant {int(np.argmin(finite))} has a non-finite state at t={float(t)!r}; "
             "check dt and the plant parameters"
         )
-
-
-def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: float) -> tuple:
-    """Final (B, C, N) of independent lanes integrated from day 0 to `t1`.
-
-    Lane i has the parameters ``pmat[i]`` (a `PlantParams.as_array()`
-    row) and holds the constant dose ``u[i]``. Each lane's final state
-    equals ``integrate(...).states[-1]`` for that lane bit for bit, and
-    a bad `dt`, a `t1` off the step grid or an environment breakpoint
-    off it raises the same ValueError. No per-step history is kept.
-    """
-    grid = StepGrid(0.0, t1, dt)
-    x, advance = _lanes(pmat, s0, grid, env)
-    advance(u, 0, grid.steps)
-    return tuple(x)
-
-
-def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) -> tuple:
-    """The lane RK4 kernel of one run on the step grid `grid`: ``(x, advance)``.
-
-    Lane i has the parameters ``pmat[i]`` (a `PlantParams.as_array()`
-    row) and starts at `s0`; each step's temperature and light are
-    `env`'s, sampled on `grid` (an off-grid breakpoint raises its
-    ValueError). The lane constants and the per-temperature terms are
-    built here, once. `x` is the (3, lanes) array of b, c and n;
-    ``advance(u, start, stop)`` RK4-steps every lane in place from step
-    `start` to `stop` under the dose `u` (one per lane, or one for all),
-    writing step i's state to ``states[:, i]`` (`s0` to ``states[:, 0]``)
-    unless `states` is None.
-
-    ``advance`` is one call of the compiled C loop of `_rk4.c` (built and
-    cached by `_rk4.load`), over steps and, inside each step, over lanes.
-    It writes each `_flux_core` term with its operands in their order,
-    `integrate`'s stage loop and RK4 sum, and each clamp as `integrate`'s
-    ``if`` (NaN and -0.0 pass it unchanged). The flags are fixed, -O3
-    -fPIC -shared -ffp-contract=off: -O3 with `restrict` pointers
-    vectorizes the lane loop, and with contraction off no multiply-add is
-    fused, which would change last bits (as -ffast-math, -Ofast or
-    -march=native could). So each lane matches `integrate` bit for bit,
-    however the run is cut into `advance` calls.
-    """
-    from ._rk4 import load  # here, so importing the package never builds or loads the kernel
-
-    kernel = load()
-    # the columns of `PlantParams.as_array()` rows, in `PARAM_NAMES` order
-    k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, T_op, theta_c, theta_n = np.asarray(pmat, dtype=float).T
-    lanes = len(k)
-    consts = np.array([psi, 1.0 - psi, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n])
-    theta_k = np.array([theta_c * k, theta_n * k])
-    temperatures, lights = grid.sample(temperature=env.temperature, light=env.light)
-    distinct, temp_index = np.unique(temperatures, return_inverse=True)
-    temp_index = temp_index.astype(np.int64)
-    # rows k * R, theta_c * k * R, theta_n * k * R of each distinct temperature
-    terms = np.empty((len(distinct), 3, lanes))
-    for row, T in zip(terms, distinct.tolist()):
-        R = np.maximum(0.0, (T_op - np.abs(T_op - T)) / T_op)  # `temperature_response` per lane
-        row[0] = k * R
-        row[1:] = theta_k * R
-
-    x = np.empty((3, lanes))
-    x[:] = [[max(s0.b, B_EPS)], [s0.c], [s0.n]]
-    dose = np.empty(lanes)
-    if states is not None:
-        if states.shape != (lanes, grid.steps + 1, 3) or states.dtype != float or not states.flags.c_contiguous:
-            raise ValueError(f"states must be a C-contiguous float64 array of shape {(lanes, grid.steps + 1, 3)}")
-        states[:, 0] = x.T
-    # the kernel's array arguments, each an array's `ctypes` view, which keeps that array alive
-    arrays = [a if a is None else a.ctypes for a in (consts, terms, temp_index, lights, dose, x, states)]
-
-    def advance(u, start, stop):
-        """RK4-step every lane in place from step `start` to `stop` under the dose `u`."""
-        if not 0 <= start <= stop <= grid.steps:
-            raise ValueError(f"steps {start} to {stop} are not within the grid's {grid.steps}")
-        dose[:] = u
-        kernel(lanes, start, stop, grid.dt, B_EPS, *arrays, 3 * (grid.steps + 1))
-
-    return x, advance
 
 
 _TRAJECTORY_HEADER = b"plant_id,t,b,c,n,y,u\r\n"

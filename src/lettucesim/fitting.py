@@ -167,14 +167,20 @@ class FitResult:
 
 
 def _trajectory(p: PlantParams, spec: FitSpec, times) -> tuple:
-    """The run to the last observation time, its step grid, and each observation's step (nearest grid point)."""
-    grid = StepGrid(0.0, max(1, math.ceil(times[-1] / spec.dt - 1e-9)) * spec.dt, spec.dt)
+    """The run to the last observation time, its step grid, and each observation's step.
+
+    The run ends at the step nearest the last observation. An observation
+    time off the step grid raises `StepGrid.index`'s ValueError, which
+    names the time and dt.
+    """
+    grid = StepGrid(0.0, max(1, round(times[-1] / spec.dt)) * spec.dt, spec.dt)
+    idx = np.array([grid.index(t) for t in times])
     traj = integrate(p, spec.s0, PiecewiseConstantSignal.constant(spec.u), spec.env, grid.t0, grid.t1, grid.dt)
-    return traj, grid, np.clip(np.rint(np.asarray(times) / spec.dt).astype(int), 0, grid.steps)
+    return traj, grid, idx
 
 
 def _simulated_outputs(p: PlantParams, spec: FitSpec, times) -> np.ndarray:
-    """Model shoot biomass at each observation time (nearest step-grid sample)."""
+    """Model shoot biomass at each observation time, each on the step grid."""
     traj, _, idx = _trajectory(p, spec, times)
     return traj.outputs[idx]
 

@@ -1,13 +1,28 @@
-"""Deterministic fixed-step integration of one plant under piecewise-constant inputs.
+"""Deterministic fixed-step integration of plants under piecewise-constant inputs.
 
 Classical fourth-order Runge-Kutta with a fixed step keeps runs
 bit-reproducible across platforms; the dynamics are smooth and
 non-stiff at nominal parameter values, so no adaptive stepping is
 needed. Every breakpoint of the dose, temperature and light must land
 on the step grid so control switching times are exact. `StepGrid` is
-the one place that maps times to steps: `integrate`, the fit's tangent
-replay, `field.integrate_lanes` and `field.simulate_field` each build
-one, so an off-grid input raises the same ValueError on each path.
+the one place that maps times to steps: `integrate`, `integrate_lanes`,
+the fit's tangent replay and `field.simulate_field` each build one, so
+an off-grid input raises the same ValueError on each path.
+
+Every plant is stepped by one compiled RK4 kernel, `_rk4.c`, set up once
+per run by `_lanes`: one C loop over steps and, inside each step, over
+lanes, each lane one plant with its own parameters and dose. It writes
+the terms of `model._flux_core` with their operand order, the stage
+table `_RK4_STAGES` and the RK4 sum left to right, and its projection as
+`if` clamps, and it is built with -ffp-contract=off and no fast-math
+flag, so no multiply-add is fused. So a lane's bits do not depend on
+the other lanes, on the lane count or on how a run is cut into
+`advance` calls: `integrate` is a one-lane run with a history,
+`integrate_lanes` a run of independent lanes that keeps only their final
+states (the dose-response sweep), and `field.simulate_field` a run of
+the whole field, epoch by epoch. The tests hold the kernel to a Python
+RK4 loop, `tests/rk4_reference.py`, bit for bit. The kernel is compiled
+on a process's first run and cached (`_rk4.load`), never at import.
 """
 
 from __future__ import annotations
@@ -18,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import B_EPS, EnvPoint, PlantParams, PlantState, _flux_core, _param_values, temperature_response
+from .model import B_EPS, EnvPoint, PlantParams, PlantState
 
 # Maximum misalignment (days, relative beyond a day) tolerated when snapping times to the step grid.
 GRID_TOL = 1e-9
@@ -137,9 +152,13 @@ class StepGrid:
         return k, off, off <= GRID_TOL * max(1.0, abs(s))
 
     def index(self, t: float) -> int:
-        """The step boundary at the time t, which must lie in [t0, t1] and on the grid (a ValueError otherwise)."""
-        k, _, on_grid = self._nearest(t) if self.t0 <= t <= self.t1 else (0, math.inf, False)
-        if not on_grid:
+        """The step boundary at the time t, which must be one of the grid's `times` (a ValueError otherwise).
+
+        t matches a boundary within the on-grid test's tolerance, so a time
+        a rounding error past t1 (3 * 0.1 > 0.3) is the last boundary.
+        """
+        k, _, on_grid = self._nearest(t) if math.isfinite(t) else (0, math.inf, False)
+        if not (on_grid and 0 <= k <= self.steps):
             raise ValueError(f"t={t} is off the dt={self.dt} step grid from {self.t0} to {self.t1}")
         return k
 
@@ -182,68 +201,96 @@ def integrate(
     projection is benign and keeps the order-preservation property.
     Returns the trajectory sampled at every step boundary. Deterministic:
     identical inputs give bit-identical outputs.
+
+    The plant is one lane of `_lanes`, advanced once per run of steps
+    that hold the same dose.
     """
-    # temperature is piecewise constant, so its response is too: one per interval
-    R_signal = PiecewiseConstantSignal(
-        env.temperature.breakpoints, tuple(temperature_response(T, p.T_op) for T in env.temperature.values)
-    )
     grid = StepGrid(t0, t1, dt)
-    u_steps, R_steps, I_steps = grid.sample(input=u_signal, temperature=R_signal, light=env.light)
+    (u_steps,) = grid.sample(input=u_signal)
+    states = np.empty((1, grid.steps + 1, 3))
+    # `_lanes` samples the temperature, then the light: grid errors keep the order input, temperature, light
+    _, advance = _lanes(p.as_array()[None], s0, grid, env, states)
     if np.any(u_steps < 0.0):
         raise ValueError("nitrogen input signal must be nonnegative")
+    bits = u_steps.view(np.int64)  # a run ends where the dose's bits change, so 0.0 and -0.0 stay apart
+    cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), grid.steps]
+    for start, stop in zip(cuts, cuts[1:]):
+        advance(u_steps[start], start, stop)
+    return Trajectory(times=grid.times, states=states[0], outputs=p.psi * states[0, :, 0])
 
-    k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n = _param_values(p)
-    stages = [(h * dt, w) for h, w in _RK4_STAGES]
-    sixth = dt / 6.0
-    b_eps = B_EPS  # a local name is faster to read in the loop than a global
 
-    b, c, n = max(s0.b, b_eps), s0.c, s0.n
-    history = [b, c, n]  # flat: b, c, n of each step boundary in turn
+def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: float) -> tuple:
+    """Final (B, C, N) of independent lanes integrated from day 0 to `t1`.
 
-    # Plain python floats in the inner loop: numpy scalars carry real
-    # per-operation overhead at this call density. With the flat history,
-    # the stage loop costs 0.96-1.00x four written-out stages with a row
-    # write per step (BENCH_19.json); a function call per step cost
-    # 1.7-2.1x. The compiled lane kernel of `field._lanes` writes the same
-    # fluxes and stages in C, and the lane tests hold it to this loop's bits.
-    for u, R, I in zip(u_steps.tolist(), R_steps.tolist(), I_steps.tolist()):
-        g, l, cc, cn, ac, an = _flux_core(
-            b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-        )
-        kb = sb = g - l
-        kc = sc = ac - cc
-        kn = sn = an - cn
-        for h, w in stages:
-            bs = b + h * kb
-            cs = c + h * kc
-            ns = n + h * kn
-            if bs < b_eps:
-                bs = b_eps
-            if cs < 0.0:
-                cs = 0.0
-            if ns < 0.0:
-                ns = 0.0
-            g, l, cc, cn, ac, an = _flux_core(
-                bs, cs, ns, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n
-            )
-            kb = g - l
-            kc = ac - cc
-            kn = an - cn
-            sb = sb + w * kb  # k1 + 2 k2 + 2 k3 + k4, left to right
-            sc = sc + w * kc
-            sn = sn + w * kn
+    Lane i has the parameters ``pmat[i]`` (a `PlantParams.as_array()`
+    row) and holds the constant dose ``u[i]``. Each lane's final state
+    equals ``integrate(...).states[-1]`` for that lane bit for bit, and
+    a bad `dt`, a `t1` off the step grid or an environment breakpoint
+    off it raises the same ValueError. No per-step history is kept.
+    """
+    grid = StepGrid(0.0, t1, dt)
+    x, advance = _lanes(pmat, s0, grid, env)
+    advance(u, 0, grid.steps)
+    return tuple(x)
 
-        b = b + sixth * sb
-        c = c + sixth * sc
-        n = n + sixth * sn
-        if b < b_eps:
-            b = b_eps
-        if c < 0.0:
-            c = 0.0
-        if n < 0.0:
-            n = 0.0
-        history += (b, c, n)
 
-    states = np.array(history).reshape(-1, 3)
-    outputs = psi * states[:, 0]
-    return Trajectory(times=grid.times, states=states, outputs=outputs)
+def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) -> tuple:
+    """The lane RK4 kernel of one run on the step grid `grid`: ``(x, advance)``.
+
+    Lane i has the parameters ``pmat[i]`` (a `PlantParams.as_array()`
+    row) and starts at `s0`; each step's temperature and light are
+    `env`'s, sampled on `grid` (an off-grid breakpoint raises its
+    ValueError). The lane constants and the per-temperature terms are
+    built here, once. `x` is the (3, lanes) array of b, c and n;
+    ``advance(u, start, stop)`` RK4-steps every lane in place from step
+    `start` to `stop` under the dose `u` (one per lane, or one for all),
+    writing step i's state to ``states[:, i]`` (`s0` to ``states[:, 0]``)
+    unless `states` is None.
+
+    ``advance`` is one call of the compiled C loop of `_rk4.c` (built and
+    cached by `_rk4.load`), over steps and, inside each step, over lanes.
+    It writes each `_flux_core` term with its operands in their order,
+    the `_RK4_STAGES` loop and the RK4 sum, and each clamp as an ``if``
+    (NaN and -0.0 pass it unchanged). The flags are fixed, -O3 -fPIC
+    -shared -ffp-contract=off: -O3 with `restrict` pointers vectorizes
+    the lane loop, and with contraction off no multiply-add is fused,
+    which would change last bits (as -ffast-math, -Ofast or -march=native
+    could). So a lane's bits do not depend on the other lanes or on how
+    the run is cut into `advance` calls.
+    """
+    from ._rk4 import load  # here, so importing the package never builds or loads the kernel
+
+    kernel = load()
+    # the columns of `PlantParams.as_array()` rows, in `PARAM_NAMES` order
+    k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, T_op, theta_c, theta_n = np.asarray(pmat, dtype=float).T
+    lanes = len(k)
+    consts = np.array([psi, 1.0 - psi, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n])
+    theta_k = np.array([theta_c * k, theta_n * k])
+    temperatures, lights = grid.sample(temperature=env.temperature, light=env.light)
+    distinct, temp_index = np.unique(temperatures, return_inverse=True)
+    temp_index = temp_index.astype(np.int64)
+    # rows k * R, theta_c * k * R, theta_n * k * R of each distinct temperature
+    terms = np.empty((len(distinct), 3, lanes))
+    for row, T in zip(terms, distinct.tolist()):
+        R = np.maximum(0.0, (T_op - np.abs(T_op - T)) / T_op)  # `temperature_response` per lane
+        row[0] = k * R
+        row[1:] = theta_k * R
+
+    x = np.empty((3, lanes))
+    x[:] = [[max(s0.b, B_EPS)], [s0.c], [s0.n]]
+    dose = np.empty(lanes)
+    if states is not None:
+        if states.shape != (lanes, grid.steps + 1, 3) or states.dtype != float or not states.flags.c_contiguous:
+            raise ValueError(f"states must be a C-contiguous float64 array of shape {(lanes, grid.steps + 1, 3)}")
+        states[:, 0] = x.T
+    # the kernel's array arguments, each an array's `ctypes` view, which keeps that array alive
+    arrays = [a if a is None else a.ctypes for a in (consts, terms, temp_index, lights, dose, x, states)]
+
+    def advance(u, start, stop):
+        """RK4-step every lane in place from step `start` to `stop` under the dose `u`."""
+        if not 0 <= start <= stop <= grid.steps:
+            raise ValueError(f"steps {start} to {stop} are not within the grid's {grid.steps}")
+        dose[:] = u
+        kernel(lanes, start, stop, grid.dt, B_EPS, *arrays, 3 * (grid.steps + 1))
+
+    return x, advance

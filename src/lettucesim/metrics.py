@@ -13,16 +13,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, FieldConfig, FieldTrajectory, integrate_lanes, rejection_threshold
-from .integrator import EnvSchedule, PiecewiseConstantSignal, integrate
-from .model import PlantState
-
-# Cells from which the sweep runs as one batched RK4 pass. It was the
-# crossover of the numpy lane kernel. The compiled kernel wins from one
-# cell up (2-vCPU VM, dt 0.01, 50 days): a batched pass took 0.58-0.70 ms
-# at 1 and 2 lanes and 2.6-3.1 ms at 13, a scalar `integrate` call 15-30 ms.
-# The scalar branch below stays until the sweep's fork is deleted.
-_BATCH_MIN_LANES = 13
+from .field import DEFAULT_ENV, DEFAULT_INITIAL_STATE, FieldConfig, FieldTrajectory, rejection_threshold
+from .integrator import EnvSchedule, integrate_lanes
+from .integrator import integrate  # noqa: F401  unused here; perfbench/spans.py binds `lettucesim.metrics.integrate`
+from .model import PARAM_NAMES, PlantState
 
 
 @dataclass(frozen=True)
@@ -162,12 +156,11 @@ def dose_response_sweep(
     dose regardless of the parameter perturbations.
 
     Every (parameter set, dose) cell is an independent integration from
-    day 0. From `_BATCH_MIN_LANES` cells up they run as the lanes of one
-    batched RK4 pass (`field.integrate_lanes`), which keeps only the
-    final states; below that, each cell is one scalar `integrate` call.
-    Both give bit-identical `final_b` and raise the same
-    ValueError for a `day` or an environment breakpoint off the dt grid,
-    and one naming the first cell whose final biomass is not finite
+    day 0, and all of them run as the lanes of one `integrate_lanes`
+    pass, which keeps only the final states. Each cell equals its own
+    `integrate` run bit for bit. A `day` or an environment breakpoint
+    off the dt grid raises `integrate`'s ValueError, and a cell whose
+    final biomass is not finite one that names the first such cell
     (without numpy warnings).
     """
     u_grid = np.asarray(u_grid, dtype=float)
@@ -179,19 +172,11 @@ def dose_response_sweep(
         raise ValueError("dose grid must be ascending and nonnegative")
 
     n_sets = len(param_sets)
-    if n_sets * u_grid.size >= _BATCH_MIN_LANES:
-        # lane p * len(u_grid) + j is parameter set p under dose u_grid[j]
-        lanes = np.repeat(np.array([p.as_array() for p in param_sets]), u_grid.size, axis=0)
-        b, _, _ = integrate_lanes(lanes, np.tile(u_grid, n_sets), env, s0, day, dt)
-        final_b = b.reshape(n_sets, u_grid.size)
-    else:
-        final_b = np.empty((n_sets, u_grid.size))
-        for pi, p in enumerate(param_sets):
-            for ui, u in enumerate(u_grid):
-                traj = integrate(
-                    p, s0, PiecewiseConstantSignal.constant(float(u)), env, 0.0, day, dt
-                )
-                final_b[pi, ui] = traj.states[-1, 0]
+    # lane p * len(u_grid) + j is parameter set p under dose u_grid[j]
+    sets = np.array([p.as_array() for p in param_sets]).reshape(n_sets, len(PARAM_NAMES))  # (0, 12) for no sets
+    lanes = np.repeat(sets, u_grid.size, axis=0)
+    b, _, _ = integrate_lanes(lanes, np.tile(u_grid, n_sets), env, s0, day, dt)
+    final_b = b.reshape(n_sets, u_grid.size)
     bad = np.argwhere(~np.isfinite(final_b))
     if bad.size:
         pi, ui = bad[0]

@@ -153,9 +153,11 @@ def temperature_response(T: float, T_op: float) -> float:
 def _flux_core(b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n):
     """All six fluxes at once from raw values.
 
-    Pure arithmetic with no branching so the same code serves python
-    floats (scalar integration) and numpy arrays (whole-field
-    integration) with bit-identical results. ``R`` is the precomputed
+    Pure arithmetic with no branching, so the same code serves python
+    floats (the flux functions and `rhs`) and numpy arrays (the fit's
+    tangent replay and `check_cooperativity`, through `_stage`) with
+    bit-identical results. The compiled RK4 kernel, `_rk4.c`, writes
+    these terms in C in the same operand order. ``R`` is the precomputed
     temperature response; callers must guarantee b >= B_EPS.
 
     Returns (growth, litter, consume_c, consume_n, assim_c, assim_n).
@@ -172,8 +174,8 @@ def _flux_core(b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, ps
 
 
 # The parameters of `_flux_core` after (b, c, n, u, R, I), in its order.
-# Its signature is the one place that order is written; `_param_values`,
-# `integrate` and the field's lane columns all read it from here.
+# Its signature is the one place that order is written; `_param_values`
+# reads it from here.
 FLUX_PARAMS = tuple(inspect.signature(_flux_core).parameters)[6:]
 
 
@@ -182,11 +184,9 @@ def _rates(b, c, n, u, R, I, *params):
 
     Branch-free like `_flux_core`, so it serves python floats and numpy
     lanes alike; `params` is the `FLUX_PARAMS` tail. `rhs` and the tests
-    call it; `integrate` writes its three differences after each
-    `_flux_core` call, a call per stage cheaper than this one, and
-    the compiled lane kernel behind `field._lanes` (`_rk4.c`) writes the
-    fluxes and differences in C, in the same op and operand order, with
-    the same bits.
+    call it. The compiled RK4 kernel behind `integrator._lanes`
+    (`_rk4.c`) writes the fluxes and differences in C, in the same op and
+    operand order, with the same bits.
     """
     growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(b, c, n, u, R, I, *params)
     return growth - litter, assim_c - consume_c, assim_n - consume_n

@@ -12,6 +12,7 @@ import pytest
 
 import lettucesim as ls
 import lettucesim.cli as cli
+import rk4_reference
 from lettucesim.cli import main
 from lettucesim.config import apply_overrides, builtin_config_names, load_config
 
@@ -153,6 +154,31 @@ class TestSimulateCommand:
     def test_invalid_override_exits_2(self, tiny_cfg, capsys):
         assert main(["simulate", "--config", str(tiny_cfg), "--set", "field.n_plants=5"]) == 2
 
+    def test_trajectory_rows_rebuild_from_ledger_and_params(self, tiny_cfg, tmp_path, capsys):
+        """Each plant's trajectory.csv rows are the reference RK4 loop's run of its params.csv row under its
+        ledger.csv doses, repr for repr; the first application comes late, after the baseline dose."""
+        overrides = ["schedule.first_application_day=1.5", "control.noise_frac=0.1"]
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tiny_cfg), *(a for o in overrides for a in ("--set", o)),
+                     "--out-dir", str(out)]) == 0
+        fc = load_config(str(tiny_cfg), overrides).field
+
+        def read(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.reader(fh))[1:]
+
+        ledger = read("ledger.csv")
+        expected = []
+        for i, row in enumerate(read("params.csv")):
+            p = ls.PlantParams(**{name: float(v) for name, v in zip(ls.PARAM_NAMES, row[1:])})
+            doses = ls.PiecewiseConstantSignal(*zip(*((float(t), float(u)) for plant, t, u, _ in ledger
+                                                      if int(plant) == i)))
+            assert doses.breakpoints == (0.0, 1.5, 2.5)
+            traj = rk4_reference.integrate(p, fc.s0, doses, fc.env, 0.0, fc.season_days, fc.dt)
+            expected += [[str(i), repr(t), repr(b), repr(c), repr(n), repr(y), repr(doses.value_at(t))]
+                         for t, (b, c, n), y in zip(traj.times.tolist(), traj.states.tolist(), traj.outputs.tolist())]
+        assert read("trajectory.csv") == expected
+
 
 SIMULATE_FILES = ("trajectory.csv", "ledger.csv", "params.csv", "summary.json", "summary.csv")
 
@@ -262,6 +288,22 @@ class TestFitCommands:
         err = capsys.readouterr().err
         assert err == f"config error: cannot load dataset {data}: observation times and masses must be finite\n"
         assert not (tmp_path / "o").exists()
+
+    def test_off_grid_observation_is_that_series_error_row(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "obs.csv", 2)
+        rows = list(csv.reader(open(data, newline="")))
+        last = max(i for i, row in enumerate(rows) if row[0] == "synthetic-0000")
+        rows[last][1] = repr(float(rows[last][1]) + 0.01)  # half a dt=0.02 step off the grid
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "fit"
+        assert main(["fit", "--data", str(data), "--out-dir", str(out)]) == 0
+        assert "fit 1/2 series (failures: 1)" in capsys.readouterr().out
+        with open(out / "fit_results.csv", newline="") as fh:
+            failed, fitted = csv.DictReader(fh)
+        assert failed["plant_id"] == "synthetic-0000"
+        assert failed["error"].startswith(f"ValueError: t={float(rows[last][1])!r} is off the dt=0.02 step grid ")
+        assert fitted["error"] == ""
 
     def test_threads_do_not_change_results(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
@@ -718,7 +760,7 @@ class TestFailedRunLeavesNoOutput:
         assert any("times the fastest rate" in line and len(line) < 200 for line in lines)
         assert "summary statistic variance is not finite" in lines[-1]
 
-    @pytest.mark.parametrize("grid", [["--param-sets", "2", "--points", "3"], []], ids=["scalar", "batched"])
+    @pytest.mark.parametrize("grid", [["--param-sets", "2", "--points", "3"], []], ids=["6 cells", "200 cells"])
     def test_non_finite_sweep(self, grid, tmp_path):
         out = tmp_path / "o"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

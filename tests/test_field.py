@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lettucesim as ls
+import rk4_reference
 from lettucesim.config import builtin_config_names, load_config
 from lettucesim.control import ActuationSchedule, ControlPolicy, SaturationSpec
 from lettucesim.field import FieldTrajectory, export_ledger_csv, export_trajectory_csv
-from lettucesim.integrator import StepGrid
+from lettucesim.integrator import StepGrid, _lanes, integrate_lanes
 
 P = ls.NOMINAL_PARAMS
 SAT = SaturationSpec(0.075, 0.0075)
@@ -109,13 +110,13 @@ class TestSimulateField:
         assert traj.total_nitrogen() == pytest.approx(9 * 0.075 * 5, rel=1e-12)
 
     def test_matches_scalar_integrator_bitwise(self):
-        """Each plant's row reproduces the per-plant integrate call exactly."""
+        """Each plant's row reproduces the reference RK4 loop's run of that plant exactly."""
         cfg = small_config()
         traj = ls.simulate_field(cfg, CONSTANT, DAILY)
         u = ls.PiecewiseConstantSignal.constant(0.075)
         for i in range(cfg.n_plants):
             p = traj.plant_params[i]
-            single = ls.integrate(p, cfg.s0, u, cfg.env, 0.0, cfg.season_days, cfg.dt)
+            single = rk4_reference.integrate(p, cfg.s0, u, cfg.env, 0.0, cfg.season_days, cfg.dt)
             assert np.array_equal(traj.states[i], single.states)
             assert np.array_equal(traj.outputs[i], single.outputs)
 
@@ -128,8 +129,6 @@ class TestSimulateField:
 
     def test_advance_without_history_keeps_final_state(self):
         """`states=None` skips the per-step writes but leaves the same final b, c, n."""
-        from lettucesim.field import _lanes
-
         u = np.linspace(0.0, 0.15, 5)
         states = np.empty((5, 81, 3))
         finals = []
@@ -144,8 +143,6 @@ class TestSimulateField:
     @pytest.mark.parametrize("cuts", [(0, 80), (0, 0, 80), (0, 1, 30, 31, 79, 80), (0, 25, 40, 55, 80, 80)])
     def test_advance_in_chunks_equals_one_call(self, cuts):
         """Epochs advance the season in chunks; any cut gives one call's history and final state."""
-        from lettucesim.field import _lanes
-
         u = np.linspace(0.0, 0.15, 5)
         runs = []
         for bounds in ((0, 80), cuts):
@@ -159,8 +156,6 @@ class TestSimulateField:
         assert np.array_equal(whole_states, chunked_states)
 
     def test_integrate_lanes_matches_scalar_final_state(self):
-        from lettucesim.field import integrate_lanes
-
         params = [ls.sample_params(P, 0.1, 6, i) for i in range(4)]
         u = np.array([0.0, 0.03, 0.075, 0.2])
         env = ls.EnvSchedule(ls.PiecewiseConstantSignal((0.0, 1.0), (22.0, 30.0)),
@@ -168,7 +163,7 @@ class TestSimulateField:
         s0 = ls.PlantState(b=0.004, c=0.002, n=0.0003)
         B, C, N = integrate_lanes(np.array([p.as_array() for p in params]), u, env, s0, 2.0, 0.02)
         for i, p in enumerate(params):
-            single = ls.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, 2.0, 0.02)
+            single = rk4_reference.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, 2.0, 0.02)
             assert np.array_equal([B[i], C[i], N[i]], single.states[-1])
 
     def test_controlled_matches_ledger_replay(self):
@@ -180,7 +175,7 @@ class TestSimulateField:
                 breakpoints=tuple(traj.application_times),
                 values=tuple(traj.applied_u[:, i]),
             )
-            single = ls.integrate(traj.plant_params[i], cfg.s0, sig, cfg.env, 0.0, 4.0, cfg.dt)
+            single = rk4_reference.integrate(traj.plant_params[i], cfg.s0, sig, cfg.env, 0.0, 4.0, cfg.dt)
             assert np.array_equal(traj.states[i], single.states)
 
     def test_determinism(self):
@@ -259,7 +254,7 @@ class TestSimulateField:
 
 
 class TestStepGrid:
-    """The field runs on the same checked step grid as the scalar integrator."""
+    """The field runs on the same checked step grid as `integrate` and the reference RK4 loop."""
 
     @pytest.mark.parametrize("env", [
         ls.EnvSchedule(ls.PiecewiseConstantSignal((0.0, 0.513), (22.0, 18.0)),
@@ -299,7 +294,7 @@ class TestStepGrid:
         u = ls.PiecewiseConstantSignal.constant(cfg.u_bar)
 
         def scalar(p):
-            return ls.integrate(p, cfg.s0, u, env, 0.0, cfg.season_days, dt)
+            return rk4_reference.integrate(p, cfg.s0, u, env, 0.0, cfg.season_days, dt)
 
         try:
             scalar(params[0])
@@ -314,7 +309,7 @@ class TestStepGrid:
 
 
 class TestLaneKernel:
-    """Every field row is the scalar integrator's trajectory under that plant's ledger doses."""
+    """Every field row is the reference RK4 loop's trajectory under that plant's ledger doses."""
 
     POLICIES = {
         "constant": CONSTANT,
@@ -353,7 +348,7 @@ class TestLaneKernel:
 
         for i, p in enumerate(traj.plant_params):
             doses = ls.PiecewiseConstantSignal((0.0, *traj.application_times), (cfg.u_bar, *traj.applied_u[:, i]))
-            single = ls.integrate(p, cfg.s0, doses, env, 0.0, cfg.season_days, dt)
+            single = rk4_reference.integrate(p, cfg.s0, doses, env, 0.0, cfg.season_days, dt)
             assert np.array_equal(traj.states[i], single.states)
             assert np.array_equal(traj.outputs[i], single.outputs)
 
@@ -361,8 +356,6 @@ class TestLaneKernel:
     @given(data=st.data())
     def test_integrate_lanes_equals_integrate(self, data):
         """`integrate_lanes` itself, lane by lane, under temperatures and light that switch back and forth."""
-        from lettucesim.field import integrate_lanes
-
         lanes = data.draw(st.integers(1, 300), label="lanes")
         frac = data.draw(st.floats(0.0, 0.3), label="frac")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -389,14 +382,13 @@ class TestLaneKernel:
 
         B, C, N = integrate_lanes(np.array([p.as_array() for p in params]), u, env, s0, steps * dt, dt)
         for i, p in enumerate(params):
-            single = ls.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, steps * dt, dt)
+            single = rk4_reference.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env,
+                                             0.0, steps * dt, dt)
             assert np.array([B[i], C[i], N[i]]).tobytes() == single.states[-1].tobytes()
 
     @pytest.mark.parametrize("fast, floor", [(dict(k_l=500.0), 0), (dict(theta_n=0.05), 2)], ids=["b", "n"])
     def test_integrate_lanes_equals_integrate_where_a_stage_clamp_fires(self, fast, floor):
         """A litter or nitrogen-consumption rate so fast that the first stage state overshoots its floor."""
-        from lettucesim.field import integrate_lanes
-
         p, s0, dt = dataclasses.replace(P, **fast), ls.DEFAULT_INITIAL_STATE, 0.1
         env = ls.EnvSchedule(ls.PiecewiseConstantSignal.constant(22.0),
                              ls.PiecewiseConstantSignal((0.0, 0.5), (530.0, 0.0)))
@@ -405,7 +397,7 @@ class TestLaneKernel:
         u = np.array([0.0, 0.075])
         B, C, N = integrate_lanes(np.array([p.as_array()] * 2), u, env, s0, 2.0, dt)
         for i in range(2):
-            single = ls.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, 2.0, dt)
+            single = rk4_reference.integrate(p, s0, ls.PiecewiseConstantSignal.constant(float(u[i])), env, 0.0, 2.0, dt)
             assert np.array([B[i], C[i], N[i]]).tobytes() == single.states[-1].tobytes()
 
 

@@ -115,6 +115,20 @@ class TestFit:
         assert res.nrmse < 0.02
         assert res.cost <= ls.cost(guess, spec, dataset[0]) + 1e-15
 
+    @pytest.mark.parametrize("day", [5.01, 5.019, 5.0 + 1e-6])
+    def test_observation_off_the_step_grid_is_an_error(self, day):
+        """At dt 0.02 day 5.01 would read day 5.00's output and day 5.019 day 5.02's: each is refused instead."""
+        series = ls.BiomassTimeseries((1.0, 2.0, day), (0.01, 0.02, 0.05))
+        spec = ls.FitSpec(guess=P, dt=0.02)
+        for call in (ls.cost, ls.fit):
+            with pytest.raises(ValueError, match=rf"^t={day!r} is off the dt=0\.02 step grid from 0\.0 to "):
+                call(*((P,) if call is ls.cost else ()), spec, series)
+
+    @pytest.mark.parametrize("near", [5.0 + 1e-12, 5.0 - 1e-12])
+    def test_observation_a_rounding_error_off_a_step_is_on_it(self, near):
+        assert series_from(P, times=(0.1, 0.2, 3 * 0.1)).masses == series_from(P, times=(0.1, 0.2, 0.3)).masses
+        assert series_from(P, times=(1.0, 2.0, near)).masses == series_from(P, times=(1.0, 2.0, 5.0)).masses
+
     def test_result_within_bounds(self):
         series = series_from(P)
         bounds = ls.fitting.default_bounds(P)

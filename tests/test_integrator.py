@@ -1,10 +1,13 @@
 """Fixed-step integration: signals, fidelity oracles, ordering, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lettucesim as ls
+import rk4_reference
 from lettucesim.integrator import GRID_TOL, MAX_STEPS, StepGrid
 from lettucesim.model import EnvPoint, PlantState, rhs
 
@@ -161,6 +164,68 @@ class TestIntegrate:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(2.0)
         assert np.array_equal(traj.outputs, P.psi * traj.states[:, 0])
+
+
+class TestAgainstReferenceLoop:
+    """`integrate`, one lane of the compiled kernel, against the Python RK4 loop it replaced: the same bits,
+    or the same ValueError."""
+
+    @staticmethod
+    def both(*args):
+        """``integrate(*args)`` and the reference loop's run, or the message each raised."""
+        runs = []
+        for fn in (ls.integrate, rk4_reference.integrate):
+            try:
+                traj = fn(*args)
+            except ValueError as exc:
+                runs.append(str(exc))
+            else:
+                runs.append([a.tobytes() for a in (traj.times, traj.states, traj.outputs)])
+        return runs
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_or_same_error(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = P.as_array() * np.exp(rng.normal(0.0, 0.5, 12))
+        values[ls.PARAM_NAMES.index("psi")] = rng.uniform(0.2, 0.95)
+        p = ls.PlantParams.from_array(values)
+        # a litter or nitrogen-consumption rate this fast overshoots a floor within one stage
+        stiff = data.draw(st.sampled_from([{}, dict(k_l=500.0), dict(theta_n=0.05)]), label="stiff")
+        p = dataclasses.replace(p, **stiff)
+        c0, n0 = rng.uniform(0.0, [0.01, 0.001]) * rng.choice([-0.0, 0.0, 1.0], 2)  # either zero included
+        s0 = PlantState(rng.uniform(ls.B_EPS, 0.05), c0, n0)
+        dt = data.draw(st.sampled_from([0.01, 0.02, 0.05, 0.1]), label="dt")
+        t0 = data.draw(st.sampled_from([0.0, 0.3]), label="t0")
+        steps = data.draw(st.integers(1, 60), label="steps")
+
+        def signal(label, levels):
+            """A step signal from day 0 with up to 4 switches, one of them perhaps a third of a step off the grid."""
+            switches = sorted(data.draw(st.sets(st.integers(1, steps + 3), max_size=4), label=f"{label} switches"))
+            off = data.draw(st.sampled_from([0.0, 0.0, dt / 3]), label=f"{label} offset")
+            times = [t0 + k * dt for k in switches]
+            if times:
+                times[-1] += off
+            return ls.PiecewiseConstantSignal((0.0, *times), data.draw(
+                st.lists(st.sampled_from(levels), min_size=len(times) + 1, max_size=len(times) + 1), label=label))
+
+        # doses repeat and switch between 0.0 and -0.0; T <= 0 and T >= 2 * T_op give a temperature response of 0
+        u = signal("dose", [0.0, -0.0, 0.03, 0.075, 0.2, 1.0] + [-0.01] * data.draw(st.booleans(), label="neg"))
+        env = ls.EnvSchedule(signal("temperature", [-5.0, 0.0, 12.0, 22.0, 38.0, 100.0]),
+                             signal("light", [0.0, 200.0, 530.0, 900.0]))
+        integrated, reference = self.both(p, s0, u, env, t0, t0 + steps * dt, dt)
+        assert integrated == reference
+
+    @pytest.mark.parametrize("stiff, floor", [(dict(k_l=500.0), 0), (dict(theta_n=0.05), 2)], ids=["b", "n"])
+    def test_same_bits_where_a_stage_clamp_fires(self, stiff, floor):
+        p, dt = dataclasses.replace(P, **stiff), 0.1
+        env = ls.EnvSchedule(ls.PiecewiseConstantSignal.constant(22.0),
+                             ls.PiecewiseConstantSignal((0.0, 0.5), (530.0, 0.0)))
+        first_stage = S0.as_array() + 0.5 * dt * rhs(S0, 0.0, env.value_at(0.0), p)
+        assert first_stage[floor] < (ls.B_EPS, 0.0, 0.0)[floor]
+        u = ls.PiecewiseConstantSignal((0.0, 0.7, 1.2), (0.0, 0.075, 0.0))
+        integrated, reference = self.both(p, S0, u, env, 0.0, 2.0, dt)
+        assert isinstance(integrated, list) and integrated == reference
 
 
 class TestStepGrid:

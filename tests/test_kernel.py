@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import lettucesim as ls
+import rk4_reference
 from lettucesim import _rk4
-from lettucesim.field import _lanes, integrate_lanes
-from lettucesim.integrator import StepGrid
 from lettucesim.cli import main
+from lettucesim.fitting import BiomassTimeseries, write_timeseries_csv
+from lettucesim.integrator import StepGrid, _lanes, integrate_lanes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 P = ls.NOMINAL_PARAMS
@@ -28,10 +29,10 @@ def lanes_final():
 
 
 def scalar_final():
-    """The same lanes, each as one scalar `integrate` call: rows b, c and n."""
+    """The same lanes, each as one run of the reference RK4 loop: rows b, c and n."""
     return np.array([
-        ls.integrate(ls.PlantParams.from_array(row), ls.DEFAULT_INITIAL_STATE, ls.PiecewiseConstantSignal.constant(u),
-                     ls.DEFAULT_ENV, 0.0, 2.0, 0.02).states[-1]
+        rk4_reference.integrate(ls.PlantParams.from_array(row), ls.DEFAULT_INITIAL_STATE,
+                                ls.PiecewiseConstantSignal.constant(u), ls.DEFAULT_ENV, 0.0, 2.0, 0.02).states[-1]
         for row, u in zip(PMAT, DOSES.tolist())
     ]).T
 
@@ -61,9 +62,9 @@ def test_a_second_process_loads_the_cached_library_without_compiling(fresh_kerne
 
     script(cc, "echo 'the compiler ran' >&2; exit 1")
     child = (
-        "import numpy as np, lettucesim as ls; from lettucesim import _rk4, field\n"
+        "import numpy as np, lettucesim as ls; from lettucesim import _rk4, integrator\n"
         f"_rk4.compiler = lambda: [{str(cc)!r}]\n"
-        f"b, c, n = field.integrate_lanes(np.array({PMAT.tolist()!r}), np.array({DOSES.tolist()!r}), ls.DEFAULT_ENV,"
+        f"b, c, n = integrator.integrate_lanes(np.array({PMAT.tolist()!r}), np.array({DOSES.tolist()!r}), ls.DEFAULT_ENV,"
         " ls.DEFAULT_INITIAL_STATE, 2.0, 0.02)\n"
         "print(np.array([b, c, n]).tobytes().hex())\n"
     )
@@ -83,14 +84,24 @@ def test_a_failing_compiler_names_its_command_and_stderr(fresh_kernel, monkeypat
     assert message.endswith("\nfatal: this compiler is out of order")
     assert list(fresh_kernel.iterdir()) == []  # the temporary output is removed
 
-    capsys.readouterr()
+    data = tmp_path / "data.csv"
+    write_timeseries_csv(data, [BiomassTimeseries((1.0, 2.0, 3.0), (0.1, 0.2, 0.3), plant_id=f"p{i}")
+                                for i in range(2)])
     out = tmp_path / "o"
-    argv = ["simulate", "--config", "builtin:uncontrolled", "--set", "field.season_days=1.0", "--out-dir", str(out)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: RuntimeError: building the lane RK4 kernel failed: {cc} ")
-    assert "fatal: this compiler is out of order" in err
-    assert not out.exists()
+    for argv in (
+        ["simulate", "--config", "builtin:uncontrolled", "--set", "field.season_days=1.0", "--out-dir", str(out)],
+        ["fit", "--data", str(data), "--out-dir", str(out)],
+        ["fit", "--data", str(data), "--threads", "2", "--out-dir", str(out)],
+        ["generate-data", "--count", "2", "--out", str(out / "data.csv")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        # warnings (fit's dt), then one error, the build's: no fit's error row or summary line
+        warnings, _, error = capsys.readouterr().err.partition("error: ")
+        assert all(line.startswith("warning: ") for line in warnings.splitlines()), argv
+        assert error.startswith(f"RuntimeError: building the lane RK4 kernel failed: {cc} "), argv
+        assert error.endswith("\nfatal: this compiler is out of order\n"), argv
+        assert not out.exists(), argv
 
 
 def test_a_missing_compiler_is_the_same_error(fresh_kernel, monkeypatch, tmp_path):

@@ -2,14 +2,13 @@
 
 import dataclasses
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lettucesim as ls
-from lettucesim import metrics
+import rk4_reference
 from lettucesim.control import ActuationSchedule, ControlPolicy, SaturationSpec
 
 P = ls.NOMINAL_PARAMS
@@ -128,9 +127,16 @@ class TestDoseResponseSweep:
         with pytest.raises(ValueError):
             ls.dose_response_sweep([P], np.array([]))
 
+    def test_no_parameter_sets_give_an_empty_table(self):
+        table = ls.dose_response_sweep([], np.array([0.0, 0.1]), day=1.0)
+        assert table.final_b.shape == (0, 2)
+
+    # a small sweep and a large one: 3 and 40 cells
+    SIZES = ((1, 3), (4, 10))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_grid_rejected_on_both_branches(self, bad):
-        for n_sets, n_doses in ((1, 3), (4, 10)):
+    def test_non_finite_grid_rejected_at_both_sizes(self, bad):
+        for n_sets, n_doses in self.SIZES:
             grid = np.linspace(0.0, 0.15, n_doses)
             grid[-1] = bad
             with warnings.catch_warnings():
@@ -138,20 +144,12 @@ class TestDoseResponseSweep:
                 with pytest.raises(ValueError, match="dose grid must be finite"):
                     ls.dose_response_sweep([P] * n_sets, grid, day=1.0)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_matches_scalar_integrate_bitwise(self, batched, data):
-        """Each cell equals its own scalar `integrate` run, on both sides of the crossover."""
-        # the scalar branch needs at least one set below the crossover
-        max_doses = 12 if batched else min(12, metrics._BATCH_MIN_LANES - 1)
-        n_doses = data.draw(st.integers(1, max_doses), label="doses")
-        if batched:
-            lo = -(-metrics._BATCH_MIN_LANES // n_doses)
-            n_sets = data.draw(st.integers(lo, lo + 2), label="sets")
-        else:
-            n_sets = data.draw(st.integers(1, (metrics._BATCH_MIN_LANES - 1) // n_doses), label="sets")
-        assert (n_sets * n_doses >= metrics._BATCH_MIN_LANES) == batched
+    def test_matches_reference_integrate_bitwise(self, data):
+        """Each cell equals its own run of the reference RK4 loop, from one cell to 36."""
+        n_doses = data.draw(st.integers(1, 12), label="doses")
+        n_sets = data.draw(st.integers(1, 3), label="sets")
         seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
         dt = data.draw(st.sampled_from([0.01, 0.02, 0.05]), label="dt")
         steps = data.draw(st.integers(1, 30), label="steps")
@@ -168,13 +166,11 @@ class TestDoseResponseSweep:
         grid = np.sort(data.draw(st.lists(st.floats(0.0, 0.3), min_size=n_doses, max_size=n_doses,
                                           unique=True)))
 
-        with mock.patch.object(metrics, "integrate", wraps=ls.integrate) as scalar:
-            table = ls.dose_response_sweep(sets, grid, day=day, env=env, dt=dt)
-        assert scalar.call_count == (0 if batched else n_sets * n_doses)
+        table = ls.dose_response_sweep(sets, grid, day=day, env=env, dt=dt)
 
         expected = np.array([
-            [ls.integrate(p, ls.DEFAULT_INITIAL_STATE, ls.PiecewiseConstantSignal.constant(float(u)),
-                          env, 0.0, day, dt).states[-1, 0] for u in grid]
+            [rk4_reference.integrate(p, ls.DEFAULT_INITIAL_STATE, ls.PiecewiseConstantSignal.constant(float(u)),
+                                     env, 0.0, day, dt).states[-1, 0] for u in grid]
             for p in sets
         ])
         assert np.array_equal(table.final_b, expected)
@@ -188,26 +184,24 @@ class TestDoseResponseSweep:
         dict(day=1.0, dt=0.01, env=ls.EnvSchedule(ls.PiecewiseConstantSignal.constant(22.0),
                                                   ls.PiecewiseConstantSignal((0.0, 0.257), (530.0, 0.0)))),
     ], ids=["off-grid day", "zero day", "zero dt", "off-grid temperature", "off-grid light"])
-    def test_both_branches_raise_the_same_error(self, kwargs):
+    def test_both_sizes_raise_the_same_error(self, kwargs):
         messages = []
-        for n_sets, n_doses in ((1, 3), (4, 10)):
+        for n_sets, n_doses in self.SIZES:
             sets = [ls.sample_params(P, 0.05, 1, i) for i in range(n_sets)]
             with pytest.raises(ValueError) as exc:
                 ls.dose_response_sweep(sets, np.linspace(0.0, 0.15, n_doses), **kwargs)
             messages.append(str(exc.value))
-        assert 3 < metrics._BATCH_MIN_LANES <= 40
         assert messages[0] == messages[1]
 
-    def test_non_finite_cell_named_alike_on_both_branches(self):
+    def test_non_finite_cell_named_alike_at_both_sizes(self):
         huge = dataclasses.replace(P, sigma_c=1e300)
         messages = []
         for n_sets, n_doses in ((3, 3), (4, 10)):
             sets = [P, P, huge, P][:n_sets]
             with warnings.catch_warnings():
-                warnings.simplefilter("error")  # no numpy RuntimeWarning on either branch
+                warnings.simplefilter("error")  # no numpy RuntimeWarning at either size
                 with pytest.raises(ValueError) as exc:
                     ls.dose_response_sweep(sets, np.linspace(0.0, 0.15, n_doses), day=2.0)
             messages.append(str(exc.value))
-        assert 9 < metrics._BATCH_MIN_LANES <= 40
         assert messages[0] == messages[1]
         assert messages[0].startswith("final biomass of parameter set 2 at dose 0.0 is not finite")
