@@ -1,13 +1,18 @@
-"""Build, cache and load the compiled lane RK4 kernel, `_rk4.c`.
+"""Build, cache and load the compiled RK4 kernel, `_rk4.c`.
 
-The kernel is compiled with the interpreter's C compiler (sysconfig's
+The library has two entry points: `rk4_lanes`, the lane RK4 stepper
+behind `integrator._lanes`, and `rk4_sensitivities`, the one-lane pass
+with forward sensitivities behind `fitting._outputs_and_sensitivities`.
+It is compiled with the interpreter's C compiler (sysconfig's
 CC, else ``cc``) and fixed flags, on the first lane run of a process,
 never at import. The library is cached as
 ``${XDG_CACHE_HOME:-~/.cache}/lettucesim/rk4-<sha256>.so``, keyed by
 the source, the compiler command and the flags, so later processes load
 it without compiling; a cache directory that cannot be written gives way
-to a temporary directory of this process. A failed build raises a
-RuntimeError naming the command, with the tail of its stderr.
+to a temporary directory of this process. After a build, every other
+``rk4-*.so`` in the cache directory (a library of an older source,
+compiler or flags) is removed. A failed build raises a RuntimeError
+naming the command, with the tail of its stderr.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ def compiler() -> list:
 
 @functools.cache
 def load():
-    """The kernel's `rk4_lanes` as a ctypes function, built or read from the cache once per process."""
+    """The kernel library, `rk4_lanes` and `rk4_sensitivities` typed, built or read from the cache once per process."""
     cc = compiler()
     key = hashlib.sha256("\0".join([SOURCE.read_text(), *cc, *CFLAGS]).encode()).hexdigest()
     name = f"rk4-{key}.so"
@@ -60,10 +65,16 @@ def load():
             tmp = str(cache / "build.so")
             path = cache / name
         _build(cc, tmp, path)
-    fn = ctypes.CDLL(str(path)).rk4_lanes
-    fn.restype = None
-    fn.argtypes = [_int64, _int64, _int64, _double, _double, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _int64]
-    return fn
+        for stale in cache.glob("rk4-*.so"):
+            if stale != path:
+                stale.unlink(missing_ok=True)  # another process may have removed it first
+    lib = ctypes.CDLL(str(path))
+    lib.rk4_lanes.restype = lib.rk4_sensitivities.restype = None
+    lib.rk4_lanes.argtypes = [
+        _int64, _int64, _int64, _double, _double, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _int64]
+    lib.rk4_sensitivities.argtypes = [
+        _int64, _ptr, _int64, _ptr, _double, _double, _ptr, _ptr, _ptr, _ptr, _double, _ptr, _ptr, _ptr]
+    return lib
 
 
 def _build(cc, tmp, path) -> None:

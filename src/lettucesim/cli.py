@@ -379,13 +379,14 @@ def cmd_fit(args) -> int:
     )
     _warn_if_unstable_step(spec.guess, spec.s0, spec.u, spec.env, spec.dt)
 
-    # A fit's forward pass is the compiled RK4 kernel, but most of its time
-    # is the numpy tangent replay of the gradient and L-BFGS-B's Python
-    # steps, which hold the interpreter lock, so only processes run fits in
-    # parallel. A fit's numbers do not depend on the process it ran in. The
-    # pool gets the longest series first (by last observation day; ties in
-    # dataset order), so a long series does not start last while the other
-    # workers idle; results go back to dataset order.
+    # A fit evaluates its cost and gradient with the compiled kernel, but
+    # the rest of its time is Python: each evaluation's set-up and
+    # L-BFGS-B's steps, which hold the interpreter lock, so only processes
+    # run fits in parallel. A fit's numbers do not depend on the process
+    # it ran in. The pool gets the longest series first (by last
+    # observation day; ties in dataset order), so a long series does not
+    # start last while the other workers idle; results go back to dataset
+    # order.
     from . import _rk4  # here, so importing the CLI never builds or loads the kernel
 
     # Built or loaded once, before any fit: a failed build is one error, not

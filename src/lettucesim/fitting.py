@@ -8,9 +8,9 @@ the box bounds meaningful and the line search stable.
 
 The gradient is exact, not a finite difference: forward sensitivities
 theta * dx/dtheta are carried through the same RK4 map that gives the
-cost (`_outputs_and_sensitivities`), so each objective evaluation costs
-one integration plus a vectorized tangent pass instead of 1 + 2 x free
-integrations.
+cost (`_outputs_and_sensitivities`), so each objective evaluation is
+one compiled pass that steps the state and its sensitivities together,
+instead of 1 + 2 x free integrations.
 
 Fitting all twelve parameters from a handful of points is ill-posed;
 the default mask fixes the weakly identified rates and fits the rest,
@@ -29,21 +29,10 @@ import numpy as np
 from .field import (
     DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, _check_perturbation_frac, sample_params, write_table,
 )
-from .integrator import _RK4_STAGES, EnvSchedule, PiecewiseConstantSignal, StepGrid, integrate
-from .model import (
-    B_EPS,
-    PARAM_NAMES,
-    PlantParams,
-    PlantState,
-    _param_values,
-    _stage,
-    temperature_response,
-)
+from .integrator import EnvSchedule, PiecewiseConstantSignal, StepGrid, _lane_tables, integrate
+from .model import B_EPS, PARAM_NAMES, PlantParams, PlantState, temperature_response
 
 FRESH_TO_DRY = 0.1
-
-# Floors of (b, c, n), one row each: the projection `integrate` applies.
-_FLOORS = np.array([[B_EPS], [0.0], [0.0]])
 
 # Weakly identified from sparse shoot-mass data; fixed unless freed.
 DEFAULT_FIXED = frozenset({"k", "T_op", "theta_c", "theta_n"})
@@ -166,15 +155,20 @@ class FitResult:
     converged: bool
 
 
-def _trajectory(p: PlantParams, spec: FitSpec, times) -> tuple:
-    """The run to the last observation time, its step grid, and each observation's step.
+def _observation_steps(spec: FitSpec, times) -> tuple:
+    """The step grid to the last observation time, and each observation's step.
 
-    The run ends at the step nearest the last observation. An observation
+    The grid ends at the step nearest the last observation. An observation
     time off the step grid raises `StepGrid.index`'s ValueError, which
     names the time and dt.
     """
     grid = StepGrid(0.0, max(1, round(times[-1] / spec.dt)) * spec.dt, spec.dt)
-    idx = np.array([grid.index(t) for t in times])
+    return grid, np.array([grid.index(t) for t in times], dtype=np.int64)
+
+
+def _trajectory(p: PlantParams, spec: FitSpec, times) -> tuple:
+    """The run to the last observation time, its step grid (`_observation_steps`), and each observation's step."""
+    grid, idx = _observation_steps(spec, times)
     traj = integrate(p, spec.s0, PiecewiseConstantSignal.constant(spec.u), spec.env, grid.t0, grid.t1, grid.dt)
     return traj, grid, idx
 
@@ -199,92 +193,37 @@ def _T_op_scale(T: float, T_op: float) -> float:
     return (T if T > T_op else -T) / (T_op * R)
 
 
-# Steps composed at once by `_chain`; larger blocks add doubling rounds,
-# smaller ones add loop iterations.
-_BLOCK = 32
-
-
-def _chain(maps: np.ndarray, at) -> np.ndarray:
-    """s_i at the step indices `at`, where s_0 = 0 and s_{i+1} = A_i s_i + B_i.
-
-    ``maps[i]`` is the affine map [A_i | B_i] (3 x (3 + m)); returns
-    (len(at), 3, m). A numpy call per step would cost more than the
-    step, so the steps go in blocks: doubling rounds compose every
-    prefix of every block at once, and a loop chains the block ends.
-    A leading zero map stands for s_0, so each prefix's B part is an s_i.
-    """
-    count, _, width = maps.shape
-    blocks = -(-(count + 1) // _BLOCK)
-    padding = np.broadcast_to(np.eye(3, width), (blocks * _BLOCK - count - 1, 3, width))
-    H = np.concatenate([np.zeros((1, 3, width)), maps, padding]).reshape(blocks, _BLOCK, 3, width)
-    shift = 1
-    while shift < _BLOCK:
-        composed = H[:, shift:, :, :3] @ H[:, :-shift]
-        composed[..., 3:] += H[:, shift:, :, 3:]
-        H[:, shift:] = composed
-        shift *= 2
-    starts = np.zeros((blocks, 3, width - 3))
-    for j in range(1, blocks):
-        end = H[j - 1, -1]
-        starts[j] = end[:, :3] @ starts[j - 1] + end[:, 3:]
-    block, offset = np.divmod(np.asarray(at), _BLOCK)
-    prefix = H[block, offset]
-    return prefix[..., :3] @ starts[block] + prefix[..., 3:]
-
-
 def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tuple:
     """Shoot biomass at each observation time and its derivatives in log(theta) of the `free` parameters.
 
-    Returns ``(y, dy)``, dy of shape (observations, free). `y` is
-    `_simulated_outputs` bit for bit: the states come from `integrate`.
-    The sensitivities s = theta * dx/dtheta are the exact tangent of its
-    RK4 map. Each step's four stages are replayed, for all steps at
-    once, from `integrate`'s states with its stage table, arithmetic and
-    projection (the field's kernel does the same), and `_stage` gives the
-    state Jacobian and the parameter columns at each stage's own state.
-    A stage or step whose projection clamps a component zeroes that
-    component's sensitivity. Each step's tangent is an affine map of s,
-    which `_chain` composes up to the observation steps.
+    Returns ``(y, dy)``, dy of shape (observations, free). Both come from
+    one call of the compiled pass `rk4_sensitivities` of `_rk4.c`, which
+    steps the plant with `integrate`'s RK4 arithmetic, so `y` is
+    `_simulated_outputs` bit for bit. Beside the state it carries the
+    sensitivities s = theta * dx/dtheta, the exact tangent of that RK4
+    map: each stage's tangent is the state Jacobian and parameter columns
+    of `model._stage` at that stage's own state, and a stage or step whose
+    projection clamps a component zeroes that component's sensitivity.
+    The T_op column is the k column times `_T_op_scale` at each step's
+    temperature. No BLAS call is made, so the bits do not depend on the
+    host's BLAS kernel.
     """
-    traj, grid, idx = _trajectory(p, spec, times)
-    steps = int(idx.max())  # the steps after the last observation change nothing
-    temperature = spec.env.temperature
-    R_signal, scale_signal = (
-        PiecewiseConstantSignal(temperature.breakpoints, tuple(fn(T, p.T_op) for T in temperature.values))
-        for fn in (temperature_response, _T_op_scale)
-    )
-    R, T_op_scale, I = (v[:steps] for v in grid.sample(temperature=R_signal, T_op=scale_signal, light=spec.env.light))
-    params = _param_values(p)
-    scaled = [i for i, name in enumerate(free) if name == "T_op"]
-    # An affine map of (s, 1) is [A | B], one (3, 3 + free, steps) array
-    # holding a map per step; the step's start state is [I | 0].
-    start = np.eye(3, 3 + len(free))[:, :, None]
+    from ._rk4 import load  # here, so importing the package never builds or loads the kernel
 
-    def stage(state, into):
-        """Rates at `state`, whose map is `into`, and the map of those rates."""
-        rates, (bb, bc, bn, cb, cc, nb, nn), cols = _stage(*state, spec.u, R, I, *params)
-        b, c, n = into
-        tangent = np.array([bb * b + bc * c + bn * n, cb * b + cc * c, nb * b + nn * n])
-        direct = np.array([cols["k" if name == "T_op" else name] for name in free])
-        direct[scaled] *= T_op_scale
-        tangent[:, 3:] += direct.swapaxes(0, 1)
-        return np.array(rates), tangent
-
-    def project(pre, into):
-        """`integrate`'s clamp of a stage state, and its map with the clamped rows zeroed."""
-        return np.maximum(pre, _FLOORS), (pre >= _FLOORS)[:, None, :] * into
-
-    x = traj.states[:steps].T
-    k, K = total, TOTAL = stage(x, start)
-    for h, w in _RK4_STAGES:
-        k, K = stage(*project(x + h * grid.dt * k, start + h * grid.dt * K))
-        total, TOTAL = total + w * k, TOTAL + w * K
-    sixth = grid.dt / 6.0
-    _, step_map = project(x + sixth * total, start + sixth * TOTAL)
-    S = _chain(np.moveaxis(step_map, 2, 0), idx)
-
-    y = traj.outputs[idx]
-    dy = p.psi * S[:, 0, :]
+    grid, idx = _observation_steps(spec, times)
+    if np.any(idx[1:] < idx[:-1]):  # the pass records the observations as it steps, in order
+        raise ValueError("observation times must be ascending")
+    consts, temperatures, terms, temp_index, lights = _lane_tables(p.as_array()[None], grid, spec.env)
+    con = np.append(consts[:, 0], [p.theta_c, p.theta_n])
+    # rows k * R, theta_c * k * R, theta_n * k * R and the T_op scale of each distinct temperature
+    terms = np.column_stack([terms[:, :, 0], [_T_op_scale(T, p.T_op) for T in temperatures.tolist()]])
+    cols = np.array([PARAM_NAMES.index(name) for name in free], dtype=np.int64)
+    x = spec.s0.as_array()
+    states, sens = np.empty((len(idx), 3)), np.empty((len(idx), 3, len(free)))
+    load().rk4_sensitivities(len(free), cols.ctypes, len(idx), idx.ctypes, grid.dt, B_EPS, con.ctypes, terms.ctypes,
+                             temp_index.ctypes, lights.ctypes, spec.u, x.ctypes, states.ctypes, sens.ctypes)
+    y = p.psi * states[:, 0]
+    dy = p.psi * sens[:, 0, :]
     dy[:, [i for i, name in enumerate(free) if name == "psi"]] += y[:, None]  # y = psi * b
     return y, dy
 

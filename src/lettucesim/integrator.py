@@ -6,7 +6,7 @@ non-stiff at nominal parameter values, so no adaptive stepping is
 needed. Every breakpoint of the dose, temperature and light must land
 on the step grid so control switching times are exact. `StepGrid` is
 the one place that maps times to steps: `integrate`, `integrate_lanes`,
-the fit's tangent replay and `field.simulate_field` each build one, so
+the fit's sensitivity pass and `field.simulate_field` each build one, so
 an off-grid input raises the same ValueError on each path.
 
 Every plant is stepped by one compiled RK4 kernel, `_rk4.c`, set up once
@@ -21,8 +21,10 @@ the other lanes, on the lane count or on how a run is cut into
 `integrate_lanes` a run of independent lanes that keeps only their final
 states (the dose-response sweep), and `field.simulate_field` a run of
 the whole field, epoch by epoch. The tests hold the kernel to a Python
-RK4 loop, `tests/rk4_reference.py`, bit for bit. The kernel is compiled
-on a process's first run and cached (`_rk4.load`), never at import.
+RK4 loop, `tests/rk4_reference.py`, bit for bit. The fit's gradient
+comes from the same library's second entry point, `rk4_sensitivities`,
+which reads `_lane_tables` too. The kernel is compiled on a process's
+first run and cached (`_rk4.load`), never at import.
 """
 
 from __future__ import annotations
@@ -241,8 +243,8 @@ def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) 
     row) and starts at `s0`; each step's temperature and light are
     `env`'s, sampled on `grid` (an off-grid breakpoint raises its
     ValueError). The lane constants and the per-temperature terms are
-    built here, once. `x` is the (3, lanes) array of b, c and n;
-    ``advance(u, start, stop)`` RK4-steps every lane in place from step
+    built once, by `_lane_tables`. `x` is the (3, lanes) array of b, c
+    and n; ``advance(u, start, stop)`` RK4-steps every lane in place from step
     `start` to `stop` under the dose `u` (one per lane, or one for all),
     writing step i's state to ``states[:, i]`` (`s0` to ``states[:, 0]``)
     unless `states` is None.
@@ -260,22 +262,9 @@ def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) 
     """
     from ._rk4 import load  # here, so importing the package never builds or loads the kernel
 
-    kernel = load()
-    # the columns of `PlantParams.as_array()` rows, in `PARAM_NAMES` order
-    k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, T_op, theta_c, theta_n = np.asarray(pmat, dtype=float).T
-    lanes = len(k)
-    consts = np.array([psi, 1.0 - psi, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n])
-    theta_k = np.array([theta_c * k, theta_n * k])
-    temperatures, lights = grid.sample(temperature=env.temperature, light=env.light)
-    distinct, temp_index = np.unique(temperatures, return_inverse=True)
-    temp_index = temp_index.astype(np.int64)
-    # rows k * R, theta_c * k * R, theta_n * k * R of each distinct temperature
-    terms = np.empty((len(distinct), 3, lanes))
-    for row, T in zip(terms, distinct.tolist()):
-        R = np.maximum(0.0, (T_op - np.abs(T_op - T)) / T_op)  # `temperature_response` per lane
-        row[0] = k * R
-        row[1:] = theta_k * R
-
+    kernel = load().rk4_lanes
+    consts, _, terms, temp_index, lights = _lane_tables(pmat, grid, env)
+    lanes = consts.shape[1]
     x = np.empty((3, lanes))
     x[:] = [[max(s0.b, B_EPS)], [s0.c], [s0.n]]
     dose = np.empty(lanes)
@@ -294,3 +283,28 @@ def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) 
         kernel(lanes, start, stop, grid.dt, B_EPS, *arrays, 3 * (grid.steps + 1))
 
     return x, advance
+
+
+def _lane_tables(pmat, grid: StepGrid, env: EnvSchedule) -> tuple:
+    """The kernel's tables of the lanes ``pmat`` on `grid`: ``(consts, temperatures, terms, temp_index, lights)``.
+
+    `consts` has the rows psi, 1 - psi, k_l, k_ml, sigma_c, sigma_n, v,
+    j_c, j_n, one column per lane. `temperatures` holds the distinct
+    temperatures of the run, and ``terms[i]`` the rows k * R,
+    theta_c * k * R and theta_n * k * R at ``temperatures[i]``. Each
+    step's temperature is ``temperatures[temp_index[step]]`` and its light
+    ``lights[step]``; an off-grid breakpoint raises `StepGrid.sample`'s
+    ValueError.
+    """
+    # the columns of `PlantParams.as_array()` rows, in `PARAM_NAMES` order
+    k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, T_op, theta_c, theta_n = np.asarray(pmat, dtype=float).T
+    consts = np.array([psi, 1.0 - psi, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n])
+    theta_k = np.array([theta_c * k, theta_n * k])
+    temperatures, lights = grid.sample(temperature=env.temperature, light=env.light)
+    distinct, temp_index = np.unique(temperatures, return_inverse=True)
+    terms = np.empty((len(distinct), 3, len(k)))
+    for row, T in zip(terms, distinct.tolist()):
+        R = np.maximum(0.0, (T_op - np.abs(T_op - T)) / T_op)  # `temperature_response` per lane
+        row[0] = k * R
+        row[1:] = theta_k * R
+    return consts, distinct, terms, temp_index.astype(np.int64), lights

@@ -154,8 +154,8 @@ def _flux_core(b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, ps
     """All six fluxes at once from raw values.
 
     Pure arithmetic with no branching, so the same code serves python
-    floats (the flux functions and `rhs`) and numpy arrays (the fit's
-    tangent replay and `check_cooperativity`, through `_stage`) with
+    floats (the flux functions and `rhs`) and numpy arrays
+    (`check_cooperativity`, through `_stage`) with
     bit-identical results. The compiled RK4 kernel, `_rk4.c`, writes
     these terms in C in the same operand order. ``R`` is the precomputed
     temperature response; callers must guarantee b >= B_EPS.
@@ -204,8 +204,10 @@ def _stage(b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, t
     through R alone, and R * d/dR equals the `k` column, so `fitting`
     scales that column for ``T_op``. The signature is `_flux_core`'s.
 
-    This is the model's one derivative source: `jacobian_state`,
-    `check_cooperativity` and the fitter's tangent replay all read it.
+    This is the model's one derivative source: `jacobian_state` and
+    `check_cooperativity` read it, and the fit's compiled sensitivity
+    pass (`rk4_sensitivities` in `_rk4.c`) writes its Jacobian entries
+    and columns in C from these formulas.
     """
     growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(
         b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n

@@ -1,8 +1,13 @@
 """Exact fit gradients: the stage derivatives, the RK4 tangent and the fit objective."""
 
+import hashlib
 import inspect
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +25,10 @@ from lettucesim.model import (
     temperature_response,
 )
 
+import sensitivity_reference
 from jacobian_reference import cleared_jacobian_state
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 P = ls.NOMINAL_PARAMS
 BOUNDS = fitting.default_bounds(P)
 # rows and columns of `_stage`'s seven Jacobian entries
@@ -125,6 +132,8 @@ class TestTemperatureOptimumScale:
 
 
 class TestChain:
+    """The reference replay's map composition, against the recurrence it stands for."""
+
     @pytest.mark.parametrize("count", [1, 30, 31, 32, 100])
     def test_matches_the_recurrence_step_by_step(self, count):
         maps = np.random.default_rng(count).normal(size=(count, 3, 5)) * 0.5
@@ -132,7 +141,8 @@ class TestChain:
         for m in maps:
             states.append(m[:, :3] @ states[-1] + m[:, 3:])
         at = sorted({0, count // 2, count - 1, count})
-        assert fitting._chain(maps, at) == pytest.approx(np.array([states[i] for i in at]), rel=1e-12, abs=1e-14)
+        expected = np.array([states[i] for i in at])
+        assert sensitivity_reference._chain(maps, at) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 class TestSensitivities:
@@ -193,6 +203,83 @@ class TestSensitivities:
         free = ("k", "k_l", "k_ml", "sigma_c", "theta_c", "j_c")
         grad = exact_gradient(P, spec, series, free)
         assert np.linalg.norm(grad - fd_gradient(P, spec, series, free)) <= 1e-5 * np.linalg.norm(grad)
+
+
+def assert_matches_the_replay(p, spec, times, free):
+    """The compiled pass's `y` equals the numpy replay's bit for bit, and each column of `dy` is within 1e-12
+    of that column's largest value (a column of zeros, exactly)."""
+    y, dy = fitting._outputs_and_sensitivities(p, spec, times, free)
+    y_ref, dy_ref = sensitivity_reference._outputs_and_sensitivities(p, spec, times, free)
+    assert np.array_equal(y, y_ref)
+    assert np.all(np.abs(dy - dy_ref) <= 1e-12 * np.abs(dy_ref).max(axis=0))
+
+
+class TestCompiledPass:
+    """`rk4_sensitivities` of `_rk4.c` against the numpy replay it replaced, `tests/sensitivity_reference.py`."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        p=parameter_points(),
+        free=st.lists(st.sampled_from(ls.PARAM_NAMES), min_size=1, max_size=12, unique=True),
+        dt=st.floats(0.02, 0.05),
+        # one to three temperatures, switching at grid steps; "kink" is T = T_op, "zero" a T where R is clamped to 0
+        temperatures=st.lists(st.one_of(st.just("kink"), st.just("zero"), st.floats(1.0, 40.0)), min_size=1,
+                              max_size=3),
+        light=st.one_of(st.just(0.0), st.floats(1.0, 1000.0)),
+        switches=st.lists(st.integers(1, 1500), min_size=2, max_size=2, unique=True),
+        obs=st.lists(st.integers(0, 1500), min_size=3, max_size=6, unique=True),
+    )
+    def test_matches_the_numpy_replay(self, p, free, dt, temperatures, light, switches, obs):
+        values = [{"kink": p.T_op, "zero": 2.5 * p.T_op}.get(T, T) for T in temperatures]
+        breakpoints = [0.0, *(k * dt for k in sorted(switches))][: len(values)]
+        env = ls.EnvSchedule(ls.PiecewiseConstantSignal(breakpoints, values),
+                             ls.PiecewiseConstantSignal.constant(light))
+        spec = ls.FitSpec(guess=p, env=env, dt=dt)
+        times = tuple(k * dt for k in sorted(obs))
+        y, dy = sensitivity_reference._outputs_and_sensitivities(p, spec, times, free)
+        assume(np.all(np.isfinite(y)) and np.all(np.isfinite(dy)))
+        assert_matches_the_replay(p, spec, times, free)
+
+    def test_matches_the_numpy_replay_where_the_store_is_clamped(self):
+        """The dark, dt 0.05 case of `test_clamped_store_keeps_the_gradient_exact`, every parameter free."""
+        spec = ls.FitSpec(guess=P, env=ls.EnvSchedule.constant(22.0, 0.0), dt=0.05)
+        times = (0.5, 1.0, 1.5, 2.0)
+        traj, _, _ = fitting._trajectory(P, spec, times)
+        assert (traj.states[:, 1] == 0.0).any()
+        assert_matches_the_replay(P, spec, times, ls.PARAM_NAMES)
+
+    def test_refuses_observations_out_of_order(self):
+        """The pass records each observation as it steps past it."""
+        with pytest.raises(ValueError, match="^observation times must be ascending$"):
+            fitting._outputs_and_sensitivities(P, ls.FitSpec(guess=P), (5.0, 1.0, 10.0), ("k",))
+
+    def test_does_not_depend_on_the_blas_kernel(self):
+        """Hashes of (y, dy) at the nominal guess and at seeded random points are the same under OpenBLAS's
+        default core and under `Prescott`, which has no fused multiply-add."""
+        child = (
+            "import ctypes, hashlib, pathlib, numpy as np, lettucesim as ls; from lettucesim import fitting\n"
+            "libs = sorted((pathlib.Path(np.__file__).parents[1] / 'numpy.libs').glob('libscipy_openblas64_*.so'))\n"
+            "corename = getattr(ctypes.CDLL(str(libs[0])), 'scipy_openblas_get_corename64_', None) if libs else None\n"
+            "if corename: corename.restype = ctypes.c_char_p\n"
+            "print(corename().decode() if corename else 'unknown')\n"
+            "P = ls.NOMINAL_PARAMS\n"
+            "for p in [P] + [ls.sample_params(P, 0.2, 11, i) for i in range(4)]:\n"
+            "    y, dy = fitting._outputs_and_sensitivities(p, ls.FitSpec(guess=P), (1.0, 5.0, 12.0, 20.0, 30.0),"
+            " ls.PARAM_NAMES)\n"
+            "    print(hashlib.sha256(y.tobytes() + dy.tobytes()).hexdigest())\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(SRC)
+        hashes = [
+            subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
+                           env={**env, **core}, check=True).stdout.split()
+            for core in ({}, {"OPENBLAS_CORETYPE": "Prescott"})
+        ]
+        (default, *first), (prescott, *second) = hashes
+        assert len(first) == 5
+        assert first == second
+        # the core did switch (OpenBLAS names Prescott's core "Katmai"), where numpy's OpenBLAS can name it
+        assert default == "unknown" or prescott != default
 
 
 class TestFitObjective:

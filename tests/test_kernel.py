@@ -1,4 +1,4 @@
-"""Building, caching and loading the compiled lane RK4 kernel (`lettucesim._rk4`)."""
+"""Building, caching and loading the compiled RK4 kernel (`lettucesim._rk4`)."""
 
 import os
 import shlex
@@ -72,6 +72,20 @@ def test_a_second_process_loads_the_cached_library_without_compiling(fresh_kerne
     result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == np.array(expected).tobytes().hex()
+
+
+def test_a_build_removes_stale_libraries_and_a_cache_hit_removes_nothing(fresh_kernel):
+    fresh_kernel.mkdir(parents=True)
+    stale = fresh_kernel / "rk4-old.so"
+    stale.write_bytes(b"an older build")
+    expected = lanes_final()
+    (library,) = fresh_kernel.iterdir()
+    assert library.name.startswith("rk4-") and library != stale
+
+    _rk4.load.cache_clear()
+    stale.write_bytes(b"an older build")
+    assert np.array_equal(lanes_final(), expected)
+    assert sorted(fresh_kernel.iterdir()) == sorted([library, stale])
 
 
 def test_a_failing_compiler_names_its_command_and_stderr(fresh_kernel, monkeypatch, tmp_path, capsys):
