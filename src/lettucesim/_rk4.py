@@ -1,11 +1,12 @@
 """Build, cache and load the compiled RK4 kernel, `_rk4.c`.
 
-The library has two entry points: `rk4_lanes`, the lane RK4 stepper
-behind `integrator._lanes`, and `rk4_sensitivities`, the one-lane pass
-with forward sensitivities behind `fitting._outputs_and_sensitivities`.
-It is compiled with the interpreter's C compiler (sysconfig's
-CC, else ``cc``) and fixed flags, on the first lane run of a process,
-never at import. The library is cached as
+The library has one RK4 step body and two entry points that run it:
+`rk4_lanes`, the lane RK4 stepper behind `integrator._lanes`, and
+`rk4_sensitivities`, the one-lane pass with forward sensitivities behind
+`fitting._outputs_and_sensitivities`, the fit's one forward path. It is
+compiled with the interpreter's C compiler (sysconfig's CC, else
+``cc``) and fixed flags, on the first lane run of a process, never at
+import. The library is cached as
 ``${XDG_CACHE_HOME:-~/.cache}/lettucesim/rk4-<sha256>.so``, keyed by
 the source, the compiler command and the flags, so later processes load
 it without compiling; a cache directory that cannot be written gives way

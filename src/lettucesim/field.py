@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .control import ActuationSchedule, ControlPolicy, apply_policy, observe
-from .integrator import GRID_TOL, MAX_STEPS, EnvSchedule, StepGrid, _lanes
+from .integrator import GRID_TOL, MAX_STEPS, EnvSchedule, StepGrid, _check_finite, _lanes
 from .model import NOMINAL_PARAMS, PARAM_NAMES, PlantParams, PlantState
 
 # Most bytes `simulate_field` may allocate for its state history, (steps + 1) x plants x 3 float64.
@@ -284,20 +284,6 @@ def simulate_field(
         hold_days=hold_days,
         plant_params=params,
     )
-
-
-def _check_finite(x, t) -> None:
-    """Raise on the first plant whose column of the state rows `x` is not finite at time `t`.
-
-    A NaN passes both the `B_EPS` floor and the projection's maxima, so
-    without this check it would reach the outputs silently.
-    """
-    finite = np.isfinite(x).all(axis=0)
-    if not finite.all():
-        raise ValueError(
-            f"plant {int(np.argmin(finite))} has a non-finite state at t={float(t)!r}; "
-            "check dt and the plant parameters"
-        )
 
 
 _TRAJECTORY_HEADER = b"plant_id,t,b,c,n,y,u\r\n"

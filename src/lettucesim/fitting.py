@@ -6,11 +6,13 @@ search (L-BFGS-B). Parameters are optimized in log space: they are all
 positive and span several orders of magnitude, so log coordinates make
 the box bounds meaningful and the line search stable.
 
-The gradient is exact, not a finite difference: forward sensitivities
-theta * dx/dtheta are carried through the same RK4 map that gives the
-cost (`_outputs_and_sensitivities`), so each objective evaluation is
-one compiled pass that steps the state and its sensitivities together,
-instead of 1 + 2 x free integrations.
+Every simulated output of this module, the objective's and `cost`'s,
+`residuals`', `nrmse`'s and `generate_synthetic`'s alike, comes from one
+forward path: `_outputs_and_sensitivities`, one compiled pass that steps
+the state and, for the free parameters, its forward sensitivities
+theta * dx/dtheta together through the RK4 map. So the gradient is
+exact, not a finite difference, and the cost the objective returns is
+`cost()` by construction.
 
 Fitting all twelve parameters from a handful of points is ill-posed;
 the default mask fixes the weakly identified rates and fits the rest,
@@ -29,7 +31,8 @@ import numpy as np
 from .field import (
     DEFAULT_ENV, DEFAULT_INITIAL_STATE, DEFAULT_U_BAR, _check_perturbation_frac, sample_params, write_table,
 )
-from .integrator import EnvSchedule, PiecewiseConstantSignal, StepGrid, _lane_tables, integrate
+from .integrator import EnvSchedule, StepGrid, _lane_tables
+from .integrator import integrate  # noqa: F401  unused here; perfbench/spans.py binds `lettucesim.fitting.integrate`
 from .model import B_EPS, PARAM_NAMES, PlantParams, PlantState, temperature_response
 
 FRESH_TO_DRY = 0.1
@@ -166,17 +169,9 @@ def _observation_steps(spec: FitSpec, times) -> tuple:
     return grid, np.array([grid.index(t) for t in times], dtype=np.int64)
 
 
-def _trajectory(p: PlantParams, spec: FitSpec, times) -> tuple:
-    """The run to the last observation time, its step grid (`_observation_steps`), and each observation's step."""
-    grid, idx = _observation_steps(spec, times)
-    traj = integrate(p, spec.s0, PiecewiseConstantSignal.constant(spec.u), spec.env, grid.t0, grid.t1, grid.dt)
-    return traj, grid, idx
-
-
 def _simulated_outputs(p: PlantParams, spec: FitSpec, times) -> np.ndarray:
-    """Model shoot biomass at each observation time, each on the step grid."""
-    traj, _, idx = _trajectory(p, spec, times)
-    return traj.outputs[idx]
+    """Model shoot biomass at each observation time, each on the step grid: the pass with no free parameters."""
+    return _outputs_and_sensitivities(p, spec, times, ())[0]
 
 
 def _T_op_scale(T: float, T_op: float) -> float:
@@ -198,18 +193,22 @@ def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tu
 
     Returns ``(y, dy)``, dy of shape (observations, free). Both come from
     one call of the compiled pass `rk4_sensitivities` of `_rk4.c`, which
-    steps the plant with `integrate`'s RK4 arithmetic, so `y` is
-    `_simulated_outputs` bit for bit. Beside the state it carries the
-    sensitivities s = theta * dx/dtheta, the exact tangent of that RK4
-    map: each stage's tangent is the state Jacobian and parameter columns
-    of `model._stage` at that stage's own state, and a stage or step whose
+    steps the plant with the RK4 step body `integrate` runs, so `y` does
+    not depend on `free` and equals `integrate`'s outputs bit for bit.
+    This is the module's one forward path: with no free parameters it is
+    `_simulated_outputs`. Beside the state it carries the sensitivities
+    s = theta * dx/dtheta, the exact tangent of that RK4 map: each
+    stage's tangent is the state Jacobian and parameter columns of
+    `model._stage` at that stage's own state, and a stage or step whose
     projection clamps a component zeroes that component's sensitivity.
     The T_op column is the k column times `_T_op_scale` at each step's
     temperature. No BLAS call is made, so the bits do not depend on the
-    host's BLAS kernel.
+    host's BLAS kernel. A repeated name in `free` is a ValueError.
     """
     from ._rk4 import load  # here, so importing the package never builds or loads the kernel
 
+    if len(set(free)) != len(free):  # the pass holds at most one column per parameter
+        raise ValueError(f"free parameters must not repeat, got {tuple(free)}")
     grid, idx = _observation_steps(spec, times)
     if np.any(idx[1:] < idx[:-1]):  # the pass records the observations as it steps, in order
         raise ValueError("observation times must be ascending")
@@ -224,7 +223,8 @@ def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tu
                              temp_index.ctypes, lights.ctypes, spec.u, x.ctypes, states.ctypes, sens.ctypes)
     y = p.psi * states[:, 0]
     dy = p.psi * sens[:, 0, :]
-    dy[:, [i for i, name in enumerate(free) if name == "psi"]] += y[:, None]  # y = psi * b
+    if "psi" in free:
+        dy[:, list(free).index("psi")] += y  # y = psi * b
     return y, dy
 
 

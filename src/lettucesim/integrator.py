@@ -11,20 +11,22 @@ an off-grid input raises the same ValueError on each path.
 
 Every plant is stepped by one compiled RK4 kernel, `_rk4.c`, set up once
 per run by `_lanes`: one C loop over steps and, inside each step, over
-lanes, each lane one plant with its own parameters and dose. It writes
-the terms of `model._flux_core` with their operand order, the stage
-table `_RK4_STAGES` and the RK4 sum left to right, and its projection as
-`if` clamps, and it is built with -ffp-contract=off and no fast-math
-flag, so no multiply-add is fused. So a lane's bits do not depend on
-the other lanes, on the lane count or on how a run is cut into
-`advance` calls: `integrate` is a one-lane run with a history,
-`integrate_lanes` a run of independent lanes that keeps only their final
-states (the dose-response sweep), and `field.simulate_field` a run of
-the whole field, epoch by epoch. The tests hold the kernel to a Python
-RK4 loop, `tests/rk4_reference.py`, bit for bit. The fit's gradient
-comes from the same library's second entry point, `rk4_sensitivities`,
-which reads `_lane_tables` too. The kernel is compiled on a process's
-first run and cached (`_rk4.load`), never at import.
+lanes, each lane one plant with its own parameters and dose. Its one
+RK4 step body, `step`, writes the terms of `model._flux_core` with their
+operand order, the stage table `_RK4_STAGES` and the RK4 sum left to
+right, and its projection as `if` clamps, and it is built with
+-ffp-contract=off and no fast-math flag, so no multiply-add is fused.
+So a lane's bits do not depend on the other lanes, on the lane count or
+on how a run is cut into `advance` calls: `integrate` is a one-lane run
+with a history, `integrate_lanes` a run of independent lanes that keeps
+only their final states (the dose-response sweep), and
+`field.simulate_field` a run of the whole field, epoch by epoch. The
+tests hold the kernel to a Python RK4 loop, `tests/rk4_reference.py`,
+bit for bit. The fit's outputs and gradient come from the same
+library's second entry point, `rk4_sensitivities`, which runs the same
+`step` on `_lane_tables` with sensitivities beside the state. The
+kernel is compiled on a process's first run and cached (`_rk4.load`),
+never at import.
 """
 
 from __future__ import annotations
@@ -205,19 +207,21 @@ def integrate(
     identical inputs give bit-identical outputs.
 
     The plant is one lane of `_lanes`, advanced once per run of steps
-    that hold the same dose.
+    that hold the same dose. A state that is not finite at the end of a
+    run raises `_check_finite`'s ValueError, as in `field.simulate_field`.
     """
     grid = StepGrid(t0, t1, dt)
     (u_steps,) = grid.sample(input=u_signal)
     states = np.empty((1, grid.steps + 1, 3))
     # `_lanes` samples the temperature, then the light: grid errors keep the order input, temperature, light
-    _, advance = _lanes(p.as_array()[None], s0, grid, env, states)
+    x, advance = _lanes(p.as_array()[None], s0, grid, env, states)
     if np.any(u_steps < 0.0):
         raise ValueError("nitrogen input signal must be nonnegative")
     bits = u_steps.view(np.int64)  # a run ends where the dose's bits change, so 0.0 and -0.0 stay apart
     cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), grid.steps]
     for start, stop in zip(cuts, cuts[1:]):
         advance(u_steps[start], start, stop)
+        _check_finite(x, grid.times[stop])
     return Trajectory(times=grid.times, states=states[0], outputs=p.psi * states[0, :, 0])
 
 
@@ -228,12 +232,27 @@ def integrate_lanes(pmat, u, env: EnvSchedule, s0: PlantState, t1: float, dt: fl
     row) and holds the constant dose ``u[i]``. Each lane's final state
     equals ``integrate(...).states[-1]`` for that lane bit for bit, and
     a bad `dt`, a `t1` off the step grid or an environment breakpoint
-    off it raises the same ValueError. No per-step history is kept.
+    off it raises the same ValueError. No per-step history is kept, and
+    no state is checked for being finite: the caller names the lane.
     """
     grid = StepGrid(0.0, t1, dt)
     x, advance = _lanes(pmat, s0, grid, env)
     advance(u, 0, grid.steps)
     return tuple(x)
+
+
+def _check_finite(x, t) -> None:
+    """Raise on the first plant whose column of the state rows `x` is not finite at time `t`.
+
+    A NaN passes both the `B_EPS` floor and the projection's maxima, so
+    without this check it would reach the outputs silently.
+    """
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise ValueError(
+            f"plant {int(np.argmin(finite))} has a non-finite state at t={float(t)!r}; "
+            "check dt and the plant parameters"
+        )
 
 
 def _lanes(pmat, s0: PlantState, grid: StepGrid, env: EnvSchedule, states=None) -> tuple:

@@ -205,9 +205,10 @@ def _stage(b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, t
     scales that column for ``T_op``. The signature is `_flux_core`'s.
 
     This is the model's one derivative source: `jacobian_state` and
-    `check_cooperativity` read it, and the fit's compiled sensitivity
-    pass (`rk4_sensitivities` in `_rk4.c`) writes its Jacobian entries
-    and columns in C from these formulas.
+    `check_cooperativity` read it, and `_rk4.c`'s one derivative
+    function, `tangent`, writes its Jacobian entries and columns in C
+    from these formulas, inside the RK4 step body that the fit's
+    sensitivity pass (`rk4_sensitivities`) runs.
     """
     growth, litter, consume_c, consume_n, assim_c, assim_n = _flux_core(
         b, c, n, u, R, I, k, k_l, k_ml, sigma_c, sigma_n, v, j_c, j_n, psi, theta_c, theta_n

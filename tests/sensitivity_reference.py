@@ -1,8 +1,9 @@
 """The numpy tangent replay that gave the fit's gradient before the compiled forward-sensitivity pass.
 
-Kept verbatim as the reference the sensitivity tests compare against:
+Kept as the reference the sensitivity tests compare against:
 `_outputs_and_sensitivities` replays each step's four RK4 stages for all
-steps at once with `model._stage`, and `_chain` composes the per-step
+steps at once with `model._stage`, from the states of the reference RK4
+loop `rk4_reference.integrate`, and `_chain` composes the per-step
 affine maps with numpy's `@`. The compiled pass (`_rk4.c`,
 `rk4_sensitivities`) carries the sensitivities step by step instead, so
 the two agree to rounding, not bit for bit.
@@ -10,7 +11,8 @@ the two agree to rounding, not bit for bit.
 
 import numpy as np
 
-from lettucesim.fitting import FitSpec, _T_op_scale, _trajectory
+import rk4_reference
+from lettucesim.fitting import FitSpec, _observation_steps, _T_op_scale
 from lettucesim.integrator import _RK4_STAGES, PiecewiseConstantSignal
 from lettucesim.model import B_EPS, PlantParams, _param_values, _stage, temperature_response
 
@@ -51,21 +53,35 @@ def _chain(maps: np.ndarray, at) -> np.ndarray:
     return prefix[..., :3] @ starts[block] + prefix[..., 3:]
 
 
+def trajectory(p: PlantParams, spec: FitSpec, times) -> tuple:
+    """The reference loop's run to the last observation time, the fit's step grid and each observation's step.
+
+    The grid is `fitting._observation_steps`'s, and the run is
+    `rk4_reference.integrate`'s, which returns a non-finite state instead
+    of raising on it.
+    """
+    grid, idx = _observation_steps(spec, times)
+    traj = rk4_reference.integrate(p, spec.s0, PiecewiseConstantSignal.constant(spec.u), spec.env, grid.t0, grid.t1,
+                                   grid.dt)
+    return traj, grid, idx
+
+
 def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tuple:
     """Shoot biomass at each observation time and its derivatives in log(theta) of the `free` parameters.
 
-    Returns ``(y, dy)``, dy of shape (observations, free). `y` is
-    `_simulated_outputs` bit for bit: the states come from `integrate`.
+    Returns ``(y, dy)``, dy of shape (observations, free). The states
+    come from the reference RK4 loop (`trajectory`), so `y` is
+    `integrate`'s outputs bit for bit.
     The sensitivities s = theta * dx/dtheta are the exact tangent of its
     RK4 map. Each step's four stages are replayed, for all steps at
-    once, from `integrate`'s states with its stage table, arithmetic and
+    once, from those states with `integrate`'s stage table, arithmetic and
     projection (the field's kernel does the same), and `_stage` gives the
     state Jacobian and the parameter columns at each stage's own state.
     A stage or step whose projection clamps a component zeroes that
     component's sensitivity. Each step's tangent is an affine map of s,
     which `_chain` composes up to the observation steps.
     """
-    traj, grid, idx = _trajectory(p, spec, times)
+    traj, grid, idx = trajectory(p, spec, times)
     steps = int(idx.max())  # the steps after the last observation change nothing
     temperature = spec.env.temperature
     R_signal, scale_signal = (
@@ -84,7 +100,7 @@ def _outputs_and_sensitivities(p: PlantParams, spec: FitSpec, times, free) -> tu
         rates, (bb, bc, bn, cb, cc, nb, nn), cols = _stage(*state, spec.u, R, I, *params)
         b, c, n = into
         tangent = np.array([bb * b + bc * c + bn * n, cb * b + cc * c, nb * b + nn * n])
-        direct = np.array([cols["k" if name == "T_op" else name] for name in free])
+        direct = np.array([cols["k" if name == "T_op" else name] for name in free]).reshape(len(free), 3, steps)
         direct[scaled] *= T_op_scale
         tangent[:, 3:] += direct.swapaxes(0, 1)
         return np.array(rates), tangent

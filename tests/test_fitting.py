@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lettucesim as ls
+import rk4_reference
 from lettucesim.fitting import read_timeseries_csv, write_timeseries_csv
 
 P = ls.NOMINAL_PARAMS
@@ -189,6 +190,16 @@ class TestGenerateSynthetic:
             true = ls.sample_params(P, 0.05, seed=5, plant_index=i)
             r = ls.residuals(true, ls.FitSpec(guess=true, dt=0.02), series)
             assert np.max(np.abs(r)) < 1e-9
+
+    def test_noise_free_masses_are_the_reference_loop_bit_for_bit(self):
+        """The generator reads its outputs from the fit's pass; the reference RK4 loop gives the same bits."""
+        dataset = ls.generate_synthetic(3, P, 0.05, seed=5, n_obs=6, t_span=30.0, dt=0.02)
+        for i, series in enumerate(dataset):
+            true = ls.sample_params(P, 0.05, seed=5, plant_index=i)
+            traj = rk4_reference.integrate(true, ls.DEFAULT_INITIAL_STATE, ls.PiecewiseConstantSignal.constant(
+                ls.DEFAULT_U_BAR), ls.DEFAULT_ENV, 0.0, series.times[-1], 0.02)
+            steps = [round(t / 0.02) for t in series.times]
+            assert np.array_equal(series.masses, traj.outputs[steps])
 
     def test_observation_count_range(self):
         dataset = ls.generate_synthetic(30, P, 0.05, seed=6, n_obs=(3, 12), spacing="random", dt=0.05)

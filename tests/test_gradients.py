@@ -146,11 +146,12 @@ class TestChain:
 
 
 class TestSensitivities:
-    def test_outputs_are_simulated_outputs_bit_for_bit(self):
+    def test_outputs_are_the_reference_loop_bit_for_bit(self):
         spec = ls.FitSpec(guess=P)
         times = (0.0, 1.5, 7.04, 20.0, 30.0)
         y, dy = fitting._outputs_and_sensitivities(P, spec, times, ls.PARAM_NAMES)
-        assert np.array_equal(y, fitting._simulated_outputs(P, spec, np.asarray(times)))
+        traj, _, idx = sensitivity_reference.trajectory(P, spec, times)
+        assert np.array_equal(y, P.psi * traj.states[idx, 0])
         assert dy.shape == (len(times), len(ls.PARAM_NAMES))
         # the initial state does not depend on the parameters; y = psi * b does
         assert dy[0].tolist() == [y[0] if name == "psi" else 0.0 for name in ls.PARAM_NAMES]
@@ -196,7 +197,7 @@ class TestSensitivities:
         # a dt of 0.05 overshoots below zero, and the projection clamps it
         spec = ls.FitSpec(guess=P, env=ls.EnvSchedule.constant(22.0, 0.0), dt=0.05)
         times = (0.5, 1.0, 1.5, 2.0)
-        traj, _, _ = fitting._trajectory(P, spec, times)
+        traj, _, _ = sensitivity_reference.trajectory(P, spec, times)
         assert (traj.states[:, 1] == 0.0).any()
         y = fitting._simulated_outputs(P, spec, np.asarray(times))
         series = ls.BiomassTimeseries(times, tuple(1.1 * y))
@@ -220,7 +221,7 @@ class TestCompiledPass:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
         p=parameter_points(),
-        free=st.lists(st.sampled_from(ls.PARAM_NAMES), min_size=1, max_size=12, unique=True),
+        free=st.lists(st.sampled_from(ls.PARAM_NAMES), min_size=0, max_size=12, unique=True),
         dt=st.floats(0.02, 0.05),
         # one to three temperatures, switching at grid steps; "kink" is T = T_op, "zero" a T where R is clamped to 0
         temperatures=st.lists(st.one_of(st.just("kink"), st.just("zero"), st.floats(1.0, 40.0)), min_size=1,
@@ -244,7 +245,7 @@ class TestCompiledPass:
         """The dark, dt 0.05 case of `test_clamped_store_keeps_the_gradient_exact`, every parameter free."""
         spec = ls.FitSpec(guess=P, env=ls.EnvSchedule.constant(22.0, 0.0), dt=0.05)
         times = (0.5, 1.0, 1.5, 2.0)
-        traj, _, _ = fitting._trajectory(P, spec, times)
+        traj, _, _ = sensitivity_reference.trajectory(P, spec, times)
         assert (traj.states[:, 1] == 0.0).any()
         assert_matches_the_replay(P, spec, times, ls.PARAM_NAMES)
 
@@ -252,6 +253,11 @@ class TestCompiledPass:
         """The pass records each observation as it steps past it."""
         with pytest.raises(ValueError, match="^observation times must be ascending$"):
             fitting._outputs_and_sensitivities(P, ls.FitSpec(guess=P), (5.0, 1.0, 10.0), ("k",))
+
+    def test_refuses_a_repeated_free_parameter(self):
+        """The pass holds one sensitivity column per parameter, at most twelve."""
+        with pytest.raises(ValueError, match=r"^free parameters must not repeat, got \('k', 'psi', 'k'\)$"):
+            fitting._outputs_and_sensitivities(P, ls.FitSpec(guess=P), (1.0, 2.0, 3.0), ("k", "psi", "k"))
 
     def test_does_not_depend_on_the_blas_kernel(self):
         """Hashes of (y, dy) at the nominal guess and at seeded random points are the same under OpenBLAS's

@@ -157,6 +157,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             ls.integrate(P, S0, u, ENV, 0.0, 1.0, 0.01)
 
+    def test_non_finite_state_rejected(self):
+        """A plant that overflows raises, at the end of the first run of equal doses, as a field run does."""
+        huge = dataclasses.replace(P, sigma_c=1e300)
+        u = ls.PiecewiseConstantSignal((0.0, 0.5), (0.075, 0.0))
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^plant 0 has a non-finite state at t=0\.5; check dt and the plant parameters$"):
+            ls.integrate(huge, S0, u, ENV, 0.0, 2.0, 0.01)
+
     def test_trajectory_samples_every_step(self):
         u = ls.PiecewiseConstantSignal.constant(0.075)
         traj = ls.integrate(P, S0, u, ENV, 0.0, 2.0, 0.05)

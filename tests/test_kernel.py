@@ -140,6 +140,14 @@ def test_an_unwritable_cache_falls_back_to_a_temporary_directory(fresh_kernel, m
     assert blocker.read_text() == ""
 
 
+def test_the_source_compiles_as_strict_c11(tmp_path):
+    """No variable-length array, no warning: the kernel is ISO C11 under the build's own compiler and flags."""
+    cmd = [*_rk4.compiler(), *_rk4.CFLAGS, "-std=c11", "-pedantic", "-Wall", "-Wextra", "-Wvla", "-Werror",
+           "-o", str(tmp_path / "strict.so"), str(_rk4.SOURCE)]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_importing_the_cli_neither_builds_nor_loads_the_kernel():
     code = "import sys, lettucesim.cli; print('lettucesim._rk4' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
